@@ -38,9 +38,7 @@ from .errors import (
 )
 from .lattice import (
     CartesianPoint,
-    LatticeVertex,
     StepProbabilities,
-    neighbors,
     parity,
     step_displacement,
     to_cartesian,
@@ -63,7 +61,6 @@ __all__ = [
     "Distribution",
     "HexwalkError",
     "InvalidParameterError",
-    "LatticeVertex",
     "ModerateScale",
     "MomentSummary",
     "NormalizedPathProcess",
@@ -92,7 +89,6 @@ __all__ = [
     "md_limit_check",
     "moderate_rate",
     "moments",
-    "neighbors",
     "parity",
     "pgf",
     "rho",

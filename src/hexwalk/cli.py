@@ -3,9 +3,7 @@
 Subcommands: ``dist`` (exact or closed-form distributions), ``moments``,
 ``sample`` (Monte Carlo endpoints or paths), ``rate`` (large/moderate
 deviation rate points and surfaces) and ``validate`` (the cross-check
-battery).  Every command is deterministic given its full flag set; the
-environment variable ``HEXWALK_THREADS`` caps worker threads for grid
-evaluation.
+battery).  Every command is deterministic given its full flag set.
 
 Exit codes: 0 success, 1 validation failure, 2 bad configuration,
 3 numerical failure.
@@ -13,19 +11,12 @@ Exit codes: 0 success, 1 validation failure, 2 bad configuration,
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from fractions import Fraction
 
 from . import closedform, deviations, engine, montecarlo, validation
-from .errors import (
-    HexwalkError,
-    InvalidParameterError,
-    NumericalFailureError,
-    ResourceLimitError,
-)
+from .errors import HexwalkError, InvalidParameterError, NumericalFailureError
 from .lattice import StepProbabilities
 from .generating import moments as compute_moments
 
@@ -35,25 +26,13 @@ EXIT_BAD_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def thread_cap() -> int:
-    raw = os.environ.get("HEXWALK_THREADS", "")
-    if raw.strip():
-        try:
-            value = int(raw)
-        except ValueError:
-            raise InvalidParameterError(f"HEXWALK_THREADS must be an integer, got {raw!r}")
-        if value < 1:
-            raise InvalidParameterError("HEXWALK_THREADS must be >= 1")
-        return value
-    return min(4, os.cpu_count() or 1)
-
-
 def _parse_probability(text: str):
     """Decimal strings become floats; fraction strings stay exact."""
     text = text.strip()
-    if "/" in text:
-        return Fraction(text)
-    return float(text)
+    try:
+        return Fraction(text) if "/" in text else float(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidParameterError(f"not a probability: {text!r}") from exc
 
 
 def _parse_row(text: str):
@@ -136,7 +115,7 @@ def cmd_sample(args) -> int:
             fh.write("replica,step,x,y\n")
             for r in range(args.replicas):
                 sample = montecarlo.sample_endpoint(
-                    args.n, q, args.seed + r, with_path=True
+                    args.n, q, args.seed, with_path=True, replica=r
                 )
                 for s, point in enumerate(sample.path):
                     fh.write(f"{r},{s},{point.x:.17g},{point.y:.17g}\n")
@@ -189,23 +168,18 @@ def cmd_rate(args) -> int:
             fh.write("\n")
         return EXIT_OK
     (x_lo, x_hi, x_steps), (y_lo, y_hi, y_steps) = _parse_grid(args.grid)
-    points = [(x, y) for x in _axis(x_lo, x_hi, x_steps) for y in _axis(y_lo, y_hi, y_steps)]
-
-    def evaluate(point):
-        x, y = point
-        try:
-            r = _rate_point(q, args.mode, x, y, args.tol)
-            rate = f"{r.value:.17g}" if r.finite else "inf"
-            return f"{x:.17g},{y:.17g},{rate},{str(r.finite).lower()}"
-        except NumericalFailureError:
-            return f"{x:.17g},{y:.17g},nan,error"
-
-    with ThreadPoolExecutor(max_workers=thread_cap()) as pool:
-        rows = list(pool.map(evaluate, points))
+    rows = []
+    for x in _axis(x_lo, x_hi, x_steps):
+        for y in _axis(y_lo, y_hi, y_steps):
+            try:
+                r = _rate_point(q, args.mode, x, y, args.tol)
+                rate = f"{r.value:.17g}" if r.finite else "inf"
+                rows.append(f"{x:.17g},{y:.17g},{rate},{str(r.finite).lower()}\n")
+            except NumericalFailureError:
+                rows.append(f"{x:.17g},{y:.17g},nan,error\n")
     with _open_out(args.out) as fh:
         fh.write("x,y,rate,finite\n")
-        for row in rows:
-            fh.write(row + "\n")
+        fh.writelines(rows)
     return EXIT_OK
 
 
@@ -288,7 +262,7 @@ def main(argv=None) -> int:
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except (InvalidParameterError, ResourceLimitError, HexwalkError, ValueError) as exc:
+    except HexwalkError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

@@ -32,7 +32,7 @@ from typing import Optional, Union
 
 from . import engine
 from .errors import InvalidParameterError, UnsupportedParametersError
-from .lattice import StepProbabilities
+from .lattice import INDEX_SHIFTS, StepProbabilities
 
 Prob = Union[Fraction, float]
 
@@ -235,11 +235,9 @@ def state_probability(j: int, k: int, n: int, q: StepProbabilities) -> Prob:
     if n % 2 == 0:
         return _even_probability(j, k, n // 2, q)
     m = (n - 1) // 2
-    q00, q01, q02 = q.q0
-    return (
-        _even_probability(j, k, m, q) * q00
-        + _even_probability(j + 1, k, m, q) * q02
-        + _even_probability(j + 1, k - 1, m, q) * q01
+    return sum(
+        _even_probability(j - dj, k - dk, m, q) * w
+        for w, (dj, dk) in zip(q.q0, INDEX_SHIFTS[0])
     )
 
 

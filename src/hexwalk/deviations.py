@@ -9,10 +9,12 @@ where each g_i is a positive combination of three exponentials,
     g_i(lam) = sum_r q_{i,r} * exp(c_{i,r} . lam),
 
 with constant exponent vectors c_{i,r} (c_{i,0} = 0 and the other four
-are (+-3a/2, +-sqrt(3)a/2)).  Because each log g_i is a log-partition
-function, its gradient is a weighted mean of the c vectors and its
-Hessian is their weighted covariance; both are evaluated analytically
-and the Hessian is positive semidefinite, so cgf is smooth and convex.
+are (+-3a/2, +-sqrt(3)a/2)), taken from ``lattice.exponent_vectors``.
+Because each log g_i is a log-partition function, its gradient is a
+weighted mean of the c vectors and its Hessian is their weighted
+covariance; ``generating.log_partition`` returns all three from one
+log-sum-exp, and the Hessian is positive semidefinite, so cgf is smooth
+and convex.
 
 The rate function is the convex conjugate
 
@@ -39,8 +41,8 @@ import numpy as np
 
 from . import engine
 from .errors import InvalidParameterError, NumericalFailureError
-from .lattice import ROOT3, StepProbabilities
-from .generating import asymptotic_covariance, log_pgf, moments
+from .lattice import ROOT3, StepProbabilities, exponent_vectors, parity, to_cartesian
+from .generating import asymptotic_covariance, log_partition, log_pgf, moments
 
 DEFAULT_GRADIENT_TOL = 1e-9
 MAX_NEWTON_ITERATIONS = 200
@@ -50,25 +52,14 @@ _DEFAULT_LAMBDA_GRID = tuple(
 )
 
 
-def _exponent_vectors(q: StepProbabilities) -> np.ndarray:
-    c = 1.5 * q.a
-    s = 0.5 * ROOT3 * q.a
-    return np.array(
-        [
-            [[0.0, 0.0], [-c, s], [-c, -s]],  # class 0
-            [[0.0, 0.0], [c, -s], [c, s]],  # class 1
-        ]
-    )
+def _tilt(lam1: float, lam2: float, q: StepProbabilities):
+    """log g_i(lam) for both classes, with their gradients and Hessians."""
+    return log_partition(q, exponent_vectors(q.a), lam1, lam2)
 
 
 def log_g(i: int, lam1: float, lam2: float, q: StepProbabilities) -> float:
     """log g_i(lam), evaluated with max-subtraction for overflow safety."""
-    vecs = _exponent_vectors(q)[i]
-    exps = vecs @ (lam1, lam2)
-    weights = np.array([float(p) for p in q.row(i)])
-    terms = np.where(weights > 0, np.log(np.where(weights > 0, weights, 1.0)) + exps, -np.inf)
-    m = terms.max()
-    return float(m + np.log(np.exp(terms - m).sum()))
+    return _tilt(lam1, lam2, q)[0][i]
 
 
 def g(i: int, lam1: float, lam2: float, q: StepProbabilities) -> float:
@@ -78,44 +69,18 @@ def g(i: int, lam1: float, lam2: float, q: StepProbabilities) -> float:
 
 def cgf(lam1: float, lam2: float, q: StepProbabilities) -> float:
     """Limiting scaled cumulant generating function of the velocity."""
-    return 0.5 * (log_g(0, lam1, lam2, q) + log_g(1, lam1, lam2, q))
-
-
-def _class_weights(i: int, lam: np.ndarray, q: StepProbabilities, vecs: np.ndarray):
-    exps = vecs @ lam
-    logw = np.array(
-        [
-            math.log(float(p)) + e if p > 0 else -math.inf
-            for p, e in zip(q.row(i), exps)
-        ]
-    )
-    m = logw.max()
-    w = np.exp(logw - m)
-    return w / w.sum()
+    log_z = _tilt(lam1, lam2, q)[0]
+    return 0.5 * (log_z[0] + log_z[1])
 
 
 def cgf_gradient(lam1: float, lam2: float, q: StepProbabilities) -> np.ndarray:
     """Analytic gradient of ``cgf``; equals the mean velocity at the origin."""
-    lam = np.array([lam1, lam2])
-    vecs = _exponent_vectors(q)
-    total = np.zeros(2)
-    for i in (0, 1):
-        w = _class_weights(i, lam, q, vecs[i])
-        total += w @ vecs[i]
-    return 0.5 * total
+    return 0.5 * np.add(*_tilt(lam1, lam2, q)[1])
 
 
 def cgf_hessian(lam1: float, lam2: float, q: StepProbabilities) -> np.ndarray:
     """Analytic Hessian of ``cgf``: half the sum of per-class weight covariances."""
-    lam = np.array([lam1, lam2])
-    vecs = _exponent_vectors(q)
-    total = np.zeros((2, 2))
-    for i in (0, 1):
-        w = _class_weights(i, lam, q, vecs[i])
-        mean = w @ vecs[i]
-        centered = vecs[i] - mean
-        total += (centered * w[:, None]).T @ centered
-    return 0.5 * total
+    return 0.5 * np.add(*_tilt(lam1, lam2, q)[2])
 
 
 @dataclass(frozen=True)
@@ -169,11 +134,13 @@ def legendre(
     lam = np.zeros(2)
 
     def objective(l):
-        return float(z @ l) - cgf(l[0], l[1], q)
+        l1, l2 = l.tolist()
+        return float(z @ l) - cgf(l1, l2, q)
 
     f = objective(lam)
     for iteration in range(max_iterations):
-        grad = z - cgf_gradient(lam[0], lam[1], q)
+        _, mean, cov = _tilt(*lam.tolist(), q)
+        grad = z - 0.5 * np.add(*mean)
         residual = float(np.hypot(grad[0], grad[1]))
         if residual <= tol:
             return RateResult(
@@ -184,7 +151,7 @@ def legendre(
                 iterations=iteration,
                 gradient_residual=residual,
             )
-        hess = cgf_hessian(lam[0], lam[1], q)
+        hess = 0.5 * np.add(*cov)
         push = 1.0 + float(np.linalg.norm(lam))
         try:
             direction = np.linalg.solve(hess, grad)
@@ -199,12 +166,14 @@ def legendre(
                 if null_norm > tol:
                     direction = direction + null_part / null_norm * push
         # Far outside the reachable set the Hessian decays to float
-        # noise, so the model step can be non-finite, non-ascending, or
-        # too long for any number of halvings to tame.  Replace garbage
-        # with a gradient push that grows with the iterate, then
-        # trust-cap the length; capped steps still grow the iterate norm
-        # geometrically, so divergence detection is intact.
-        direction_norm = float(np.linalg.norm(direction))
+        # noise, so the model step can be non-finite (its squared length
+        # may overflow), non-ascending, or too long for any number of
+        # halvings to tame.  Replace garbage with a gradient push that
+        # grows with the iterate, then trust-cap the length; capped steps
+        # still grow the iterate norm geometrically, so divergence
+        # detection is intact.
+        with np.errstate(over="ignore"):
+            direction_norm = float(np.linalg.norm(direction))
         if math.isfinite(direction_norm):
             slope = float(grad @ direction)
         else:
@@ -294,7 +263,7 @@ def moderate_rate(x: float, y: float, q: StepProbabilities) -> RateResult:
             note="singular covariance: point outside the range of C",
         )
     safe = eigvals > rank_tol
-    inv = np.where(safe, np.divide(1.0, eigvals, where=safe), 0.0)
+    inv = np.divide(1.0, eigvals, out=np.zeros_like(eigvals), where=safe)
     lam = eigvecs @ (inv * coeffs)
     value = 0.5 * float(z @ lam)
     return RateResult(
@@ -555,8 +524,9 @@ def empirical_decay(
             tail = Fraction(0)
         else:
             tail = 0.0
-        for jk, p in dist.mass.items():
-            x, y = engine.cartesian_coordinates(jk, n, q.a)
+        i = parity(n)
+        for (j, k), p in dist.mass.items():
+            x, y = to_cartesian(j, k, i, q.a)
             if u[0] * x + u[1] * y >= threshold:
                 tail += p
         if exact:
@@ -568,8 +538,8 @@ def empirical_decay(
         else:
             tail_float = tail
             if tail_float <= 0.0:
-                # Float masses this small were pruned during evolution;
-                # only the exact engine can resolve the tail.
+                # The float tail underflowed to zero during evolution;
+                # only the exact engine can resolve it.
                 rate = math.inf
             else:
                 rate = -math.log(tail_float) / n

@@ -3,7 +3,8 @@
 The distribution at time ``n`` lives on the ``(j, k)`` index plane; the
 vertex class of every occupied node is ``parity(n)``, so it is never
 stored.  ``step`` pushes each state's mass along its three outgoing
-edges, which is the forward one-step update of the state probabilities.
+edges, which is the forward one-step update of the state probabilities;
+every mode runs the same push loop.
 
 Two arithmetic modes are supported.  Exact mode keeps every mass as a
 ``Fraction`` and is the oracle of record for all analytic formulas in
@@ -27,7 +28,7 @@ from fractions import Fraction
 from typing import IO, Iterator, Optional, Union
 
 from .errors import InvalidParameterError, ResourceLimitError
-from .lattice import INDEX_SHIFTS, ROOT3, StepProbabilities, parity
+from .lattice import INDEX_SHIFTS, StepProbabilities, parity, to_cartesian
 
 MAX_STEPS = 10_000
 
@@ -65,50 +66,8 @@ def initial(j: int = 0, k: int = 0, *, exact: bool = True) -> Distribution:
     return Distribution(0, {(j, k): one}, exact)
 
 
-def step(d: Distribution, q: StepProbabilities) -> Distribution:
-    """One forward update: push each state's mass along its three edges."""
-    if d.exact and not q.exact:
-        raise InvalidParameterError(
-            "exact-mode evolution needs rational step probabilities"
-        )
-    i = parity(d.n)
-    row = q.row(i) if d.exact else tuple(float(p) for p in q.row(i))
-    shifts = INDEX_SHIFTS[i]
-    out: dict = {}
-    for (j, k), p in d.mass.items():
-        for r in range(3):
-            w = row[r]
-            if w:
-                key = (j + shifts[r][0], k + shifts[r][1])
-                if key in out:
-                    out[key] += p * w
-                else:
-                    out[key] = p * w
-    return Distribution(d.n + 1, out, d.exact)
-
-
-def _exact_state(mass: dict):
-    """Split a Fraction-valued map into integer numerators over one denominator."""
-    den = math.lcm(*(p.denominator for p in mass.values()))
-    num = {jk: p.numerator * (den // p.denominator) for jk, p in mass.items()}
-    return num, den
-
-
-def _int_step(num: dict, weights, shifts) -> dict:
-    out: dict = {}
-    for (j, k), p in num.items():
-        for r in range(3):
-            w = weights[r]
-            if w:
-                key = (j + shifts[r][0], k + shifts[r][1])
-                if key in out:
-                    out[key] += p * w
-                else:
-                    out[key] = p * w
-    return out
-
-
-def _float_step(mass: dict, weights, shifts) -> dict:
+def _push(mass: dict, weights, shifts) -> dict:
+    """Push each state's mass along its edges, weighted by the step row."""
     out: dict = {}
     for (j, k), p in mass.items():
         for r in range(3):
@@ -120,6 +79,24 @@ def _float_step(mass: dict, weights, shifts) -> dict:
                 else:
                     out[key] = p * w
     return out
+
+
+def step(d: Distribution, q: StepProbabilities) -> Distribution:
+    """One forward update: push each state's mass along its three edges."""
+    if d.exact and not q.exact:
+        raise InvalidParameterError(
+            "exact-mode evolution needs rational step probabilities"
+        )
+    i = parity(d.n)
+    row = q.row(i) if d.exact else tuple(float(p) for p in q.row(i))
+    return Distribution(d.n + 1, _push(d.mass, row, INDEX_SHIFTS[i]), d.exact)
+
+
+def _exact_state(mass: dict):
+    """Split a Fraction-valued map into integer numerators over one denominator."""
+    den = math.lcm(*(p.denominator for p in mass.values()))
+    num = {jk: p.numerator * (den // p.denominator) for jk, p in mass.items()}
+    return num, den
 
 
 def iterate(
@@ -164,7 +141,7 @@ def iterate(
         for t in range(n):
             i = parity(start.n + t)
             weights, lcm = scaled[i]
-            num = _int_step(num, weights, INDEX_SHIFTS[i])
+            num = _push(num, weights, INDEX_SHIFTS[i])
             den *= lcm
             yield Distribution(
                 start.n + t + 1, {jk: Fraction(v, den) for jk, v in num.items()}, True
@@ -178,7 +155,7 @@ def iterate(
         yield Distribution(start.n, mass, False)
         for t in range(n):
             i = parity(start.n + t)
-            mass = _float_step(mass, rows[i], INDEX_SHIFTS[i])
+            mass = _push(mass, rows[i], INDEX_SHIFTS[i])
             yield Distribution(start.n + t + 1, mass, False)
 
 
@@ -202,13 +179,6 @@ def evolve(
 # ---------------------------------------------------------------------------
 
 
-def cartesian_coordinates(jk, n: int, a: float):
-    """Cartesian position of index state ``(j, k)`` occupied at time ``n``."""
-    j, k = jk
-    i = parity(n)
-    return 1.5 * a * j + i * a, (ROOT3 / 2.0) * a * j + ROOT3 * a * k
-
-
 def distribution_moments(d: Distribution, a: float):
     """Mean vector, variance vector and covariance of the Cartesian position.
 
@@ -217,9 +187,10 @@ def distribution_moments(d: Distribution, a: float):
     """
     items = sorted(d.mass.items())
     ps = [float(p) for _, p in items]
+    i = parity(d.n)
     xs, ys = [], []
-    for (jk, _p) in items:
-        x, y = cartesian_coordinates(jk, d.n, a)
+    for (j, k), _p in items:
+        x, y = to_cartesian(j, k, i, a)
         xs.append(x)
         ys.append(y)
     ex = math.fsum(p * x for p, x in zip(ps, xs))
@@ -234,9 +205,10 @@ def pgf_expectation(d: Distribution, u: float, v: float, a: float) -> float:
     """Brute-force E[u^X v^Y] over the support of ``d``."""
     if not (u > 0 and v > 0):
         raise InvalidParameterError("generating-function arguments must be positive")
+    i = parity(d.n)
     total = []
-    for jk, p in sorted(d.mass.items()):
-        x, y = cartesian_coordinates(jk, d.n, a)
+    for (j, k), p in sorted(d.mass.items()):
+        x, y = to_cartesian(j, k, i, a)
         total.append(float(p) * u**x * v**y)
     return math.fsum(total)
 

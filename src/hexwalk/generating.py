@@ -12,9 +12,14 @@ the walk's class is i = parity(n) and
 
     G(u, v; n) = alpha(u~, v~)^((n-i)/2) * beta(u~, v~)^((n+i)/2) * u^(i*a).
 
-Both exponents are integers because n and i share parity.  ``log_pgf``
-evaluates log G through log-sum-exp so that cumulant-scaling checks can
-probe arguments far outside the overflow range of the direct product.
+Both exponents are integers because n and i share parity.  alpha and
+beta are the class-1 and class-0 partition functions u^dj * v^dk over the
+index shifts of ``lattice``.  With u = e^lam1 and v = e^lam2 the
+transformed factors are the same sums over the lattice's exponent
+vectors, the g1 and g0 of the cumulant generating function in
+``deviations``.  One kernel, ``log_partition``, evaluates all of them by
+log-sum-exp, so ``log_pgf`` (and ``pgf`` = exp(log_pgf)) can probe
+arguments far outside the overflow range of the direct product.
 
 Moments are affine in n with a parity correction: for example
 E[X_n] = mu1*n + theta1*i_n.  The ten coefficients and the asymptotic
@@ -30,47 +35,64 @@ from typing import Tuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .lattice import ROOT3, StepProbabilities, parity
+from .lattice import INDEX_SHIFTS, ROOT3, StepProbabilities, exponent_vectors, parity
+
+
+def log_partition(q: StepProbabilities, vectors, lam1: float, lam2: float):
+    """Per-class log-partition function of the exponentially tilted step law.
+
+    For class i, Z_i(lam) = sum_r q_{i,r} * exp(vectors[i][r] . lam), where
+    ``vectors`` holds an ``(x, y)`` pair per class and direction.  Returns
+    ``(log_z, mean, cov)``, each a pair over the classes: log Z_i, and the
+    mean ``(x, y)`` and covariance ``((xx, xy), (xy, yy))`` of
+    ``vectors[i]`` under the tilted weights
+    q_{i,r} * exp(vectors[i][r] . lam) / Z_i, which are the gradient and
+    Hessian of log Z_i.  The log-sum-exp subtracts the largest exponent,
+    so large |lam| neither overflows nor underflows.
+    """
+    log_z, mean, cov = [], [], []
+    # Every vertex has three directions.  The sums are written out: this
+    # runs once per pgf call and per Newton step, where loops and numpy
+    # calls on three-element arrays cost several times the arithmetic.
+    for (w0, w1, w2), ((x0, y0), (x1, y1), (x2, y2)) in zip(q.log_weights, vectors):
+        e0 = w0 + x0 * lam1 + y0 * lam2
+        e1 = w1 + x1 * lam1 + y1 * lam2
+        e2 = w2 + x2 * lam1 + y2 * lam2
+        top = max(e0, e1, e2)
+        p0, p1, p2 = math.exp(e0 - top), math.exp(e1 - top), math.exp(e2 - top)
+        total = p0 + p1 + p2
+        log_z.append(top + math.log(total))
+        p0, p1, p2 = p0 / total, p1 / total, p2 / total
+        mx = p0 * x0 + p1 * x1 + p2 * x2
+        my = p0 * y0 + p1 * y1 + p2 * y2
+        dx0, dx1, dx2 = x0 - mx, x1 - mx, x2 - mx
+        dy0, dy1, dy2 = y0 - my, y1 - my, y2 - my
+        cxy = p0 * dx0 * dy0 + p1 * dx1 * dy1 + p2 * dx2 * dy2
+        mean.append((mx, my))
+        cov.append((
+            (p0 * dx0 * dx0 + p1 * dx1 * dx1 + p2 * dx2 * dx2, cxy),
+            (cxy, p0 * dy0 * dy0 + p1 * dy1 * dy1 + p2 * dy2 * dy2),
+        ))
+    return log_z, mean, cov
 
 
 def pgf_factors(u: float, v: float, q: StepProbabilities) -> Tuple[float, float]:
-    """The (alpha, beta) pair at already-transformed arguments ``(u, v)``."""
+    """The (alpha, beta) pair at already-transformed arguments ``(u, v)``.
+
+    These are the class-1 and class-0 partition functions over the index
+    shifts, u^dj * v^dk weighted by the step probabilities.
+    """
     if not (u > 0 and v > 0):
         raise InvalidParameterError("generating-function arguments must be positive")
-    q00, q01, q02 = (float(p) for p in q.q0)
-    q10, q11, q12 = (float(p) for p in q.q1)
-    alpha = q10 + q12 * u + q11 * u / v
-    beta = q00 + q01 * v / u + q02 / u
-    return alpha, beta
+    log_z = log_partition(q, INDEX_SHIFTS, math.log(u), math.log(v))[0]
+    return math.exp(log_z[1]), math.exp(log_z[0])
 
 
 def pgf(u: float, v: float, n: int, q: StepProbabilities) -> float:
     """G(u, v; n) = E[u^X_n v^Y_n] for positive arguments."""
     if not (u > 0 and v > 0):
         raise InvalidParameterError("generating-function arguments must be positive")
-    if n < 0:
-        raise InvalidParameterError(f"time must be nonnegative, got {n}")
-    a = q.a
-    ut = u ** (1.5 * a) * v ** (0.5 * ROOT3 * a)
-    vt = v ** (ROOT3 * a)
-    alpha, beta = pgf_factors(ut, vt, q)
-    assert alpha > 0 and beta > 0, "factors must be positive for positive arguments"
-    i = parity(n)
-    return alpha ** ((n - i) // 2) * beta ** ((n + i) // 2) * u ** (i * a)
-
-
-def _logsumexp3(t0: float, t1: float, t2: float) -> float:
-    m = max(t0, t1, t2)
-    if m == -math.inf:
-        return -math.inf
-    return m + math.log(
-        math.exp(t0 - m) + math.exp(t1 - m) + math.exp(t2 - m)
-    )
-
-
-def _log_weight(p) -> float:
-    p = float(p)
-    return math.log(p) if p > 0 else -math.inf
+    return math.exp(log_pgf(math.log(u), math.log(v), n, q))
 
 
 def log_pgf(lam1: float, lam2: float, n: int, q: StepProbabilities) -> float:
@@ -79,25 +101,14 @@ def log_pgf(lam1: float, lam2: float, n: int, q: StepProbabilities) -> float:
     In exponential coordinates the two factors become
     beta~ = q00 + q01*e^(-A) + q02*e^(-B) and
     alpha~ = q10 + q11*e^(A) + q12*e^(B) with
-    A = (3a/2)*lam1 - (sqrt(3)a/2)*lam2 and B = (3a/2)*lam1 + (sqrt(3)a/2)*lam2.
+    A = (3a/2)*lam1 - (sqrt(3)a/2)*lam2 and B = (3a/2)*lam1 + (sqrt(3)a/2)*lam2,
+    the partition functions over the lattice's exponent vectors.
     """
     if n < 0:
         raise InvalidParameterError(f"time must be nonnegative, got {n}")
-    a = q.a
-    big = 1.5 * a * lam1 + 0.5 * ROOT3 * a * lam2
-    small = 1.5 * a * lam1 - 0.5 * ROOT3 * a * lam2
-    log_beta = _logsumexp3(
-        _log_weight(q.q0[0]),
-        _log_weight(q.q0[1]) - small,
-        _log_weight(q.q0[2]) - big,
-    )
-    log_alpha = _logsumexp3(
-        _log_weight(q.q1[0]),
-        _log_weight(q.q1[1]) + small,
-        _log_weight(q.q1[2]) + big,
-    )
+    log_beta, log_alpha = log_partition(q, exponent_vectors(q.a), lam1, lam2)[0]
     i = parity(n)
-    return ((n - i) // 2) * log_alpha + ((n + i) // 2) * log_beta + i * a * lam1
+    return ((n - i) // 2) * log_alpha + ((n + i) // 2) * log_beta + i * q.a * lam1
 
 
 @dataclass(frozen=True)

@@ -20,18 +20,24 @@ vertices step left, down-right or up-right.  The index shifts these
 displacements induce on ``(j, k)`` are frozen in ``INDEX_SHIFTS`` and the
 test suite verifies the table against the displacement formula, so the
 two descriptions cannot drift apart.
+
+``INDEX_SHIFTS`` and the coordinate map ``to_cartesian`` are the only
+place the geometry is written down.  Step displacements, the Monte Carlo
+step matrices and the exponent vectors of the generating function are
+all derived from them here.
 """
 
-from dataclasses import dataclass
+import math
+from dataclasses import astuple, dataclass
 from fractions import Fraction
-from math import sqrt
+from functools import cached_property, lru_cache
 from typing import Union
 
 from .errors import InvalidParameterError
 
 Number = Union[int, float, Fraction]
 
-ROOT3 = sqrt(3.0)
+ROOT3 = math.sqrt(3.0)
 
 # (dj, dk) for direction r = 0, 1, 2, per vertex class.  The class index
 # always flips, so it is not part of the table.
@@ -39,10 +45,6 @@ INDEX_SHIFTS = (
     ((0, 0), (-1, 1), (-1, 0)),  # from class 0
     ((0, 0), (1, -1), (1, 0)),  # from class 1
 )
-
-# Unit-edge displacement of direction r from a class-0 vertex, in units
-# of a.  Class-1 displacements are the exact negatives (rotation by pi).
-_UNIT_MOVES = ((1.0, 0.0), (-0.5, ROOT3 / 2.0), (-0.5, -ROOT3 / 2.0))
 
 
 def parity(n: int) -> int:
@@ -118,6 +120,14 @@ class StepProbabilities:
             self.a,
         )
 
+    @cached_property
+    def log_weights(self) -> tuple:
+        """log q_{i,r}, indexed ``[i][r]``; -inf where a direction has probability 0."""
+        return tuple(
+            tuple(math.log(float(p)) if p > 0 else -math.inf for p in row)
+            for row in (self.q0, self.q1)
+        )
+
 
 @dataclass(frozen=True)
 class CartesianPoint:
@@ -125,45 +135,47 @@ class CartesianPoint:
     y: float
 
 
-@dataclass(frozen=True)
-class LatticeVertex:
-    """A lattice node: integer coordinates ``(j, k)`` and class ``i``."""
+def to_cartesian(j, k, i, a: float):
+    """Cartesian position ``(x, y)`` of vertex ``(j, k)`` of class ``i``.
 
-    j: int
-    k: int
-    i: int
-
-    def __post_init__(self):
-        if self.i not in (0, 1):
-            raise InvalidParameterError(f"vertex class must be 0 or 1, got {self.i}")
-
-
-def to_cartesian(v: LatticeVertex, a: float) -> CartesianPoint:
-    """Cartesian position of vertex ``v`` on a lattice with edge length ``a``."""
+    ``a`` is the edge length.  ``j``, ``k`` and ``i`` may be numpy arrays,
+    which are mapped elementwise.
+    """
     if not a > 0:
         raise InvalidParameterError(f"edge length must be positive, got {a}")
-    return CartesianPoint(1.5 * a * v.j + v.i * a, (ROOT3 / 2.0) * a * v.j + ROOT3 * a * v.k)
+    return 1.5 * a * j + i * a, (ROOT3 / 2.0) * a * j + ROOT3 * a * k
 
 
 def step_displacement(i: int, r: int, a: float) -> CartesianPoint:
-    """Cartesian displacement of a direction-``r`` step from class ``i``."""
+    """Cartesian displacement of a direction-``r`` step from class ``i``.
+
+    The move from vertex ``(0, 0)`` of class ``i`` to its neighbour
+    ``INDEX_SHIFTS[i][r]``, which has class ``1 - i``.  It is taken on the
+    unit lattice, where the difference is exact, and then scaled by ``a``.
+    """
     if r not in (0, 1, 2):
         raise InvalidParameterError(f"direction must be 0, 1 or 2, got {r}")
-    ux, uy = _UNIT_MOVES[r]
-    if i == 1:
-        ux, uy = -ux, -uy
-    elif i != 0:
+    if i not in (0, 1):
         raise InvalidParameterError(f"vertex class must be 0 or 1, got {i}")
-    return CartesianPoint(a * ux, a * uy)
+    dj, dk = INDEX_SHIFTS[i][r]
+    x1, y1 = to_cartesian(dj, dk, 1 - i, 1.0)
+    x0, y0 = to_cartesian(0, 0, i, 1.0)
+    return CartesianPoint(a * (x1 - x0), a * (y1 - y0))
 
 
-def neighbors(v: LatticeVertex) -> list:
-    """The three adjacent vertices of ``v`` with their direction labels.
+def step_vectors(a: float) -> tuple:
+    """Every step displacement as an ``(x, y)`` pair, indexed ``[i][r]``."""
+    return tuple(
+        tuple(astuple(step_displacement(i, r, a)) for r in range(3)) for i in (0, 1)
+    )
 
-    Returns ``[(w, r)]`` where ``w`` is the vertex reached by a
-    direction-``r`` step; every ``w`` has the opposite class of ``v``.
+
+@lru_cache(maxsize=16)
+def exponent_vectors(a: float) -> tuple:
+    """The linear part of ``to_cartesian`` applied to ``INDEX_SHIFTS``.
+
+    Entry ``[i][r]`` is the image of the index shift ``INDEX_SHIFTS[i][r]``
+    under the coordinate map without its class term ``i * a``, as an
+    ``(x, y)`` pair, so ``[i][0]`` is zero.
     """
-    out = []
-    for r, (dj, dk) in enumerate(INDEX_SHIFTS[v.i]):
-        out.append((LatticeVertex(v.j + dj, v.k + dk, 1 - v.i), r))
-    return out
+    return tuple(tuple(to_cartesian(dj, dk, 0, a) for dj, dk in row) for row in INDEX_SHIFTS)

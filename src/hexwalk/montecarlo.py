@@ -28,18 +28,22 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import InvalidParameterError
-from .lattice import ROOT3, CartesianPoint, StepProbabilities, parity
+from .lattice import (
+    INDEX_SHIFTS,
+    CartesianPoint,
+    StepProbabilities,
+    parity,
+    step_vectors,
+    to_cartesian,
+)
 from .generating import asymptotic_covariance, moments
 
 CHUNK = 1 << 14
 
 
-def _philox(seed: int) -> np.random.Philox:
-    return np.random.Philox(key=seed % (1 << 128))
-
-
 def _chunk_generator(seed: int, chunk: int) -> np.random.Generator:
-    base = _philox(seed)
+    """The Philox stream keyed on ``seed``, jumped ``chunk`` times."""
+    base = np.random.Philox(key=seed % (1 << 128))
     return np.random.Generator(base.jumped(chunk) if chunk else base)
 
 
@@ -58,11 +62,6 @@ def _class_counts(lo: int, hi: int) -> Tuple[int, int]:
     return odd, (hi - lo) - odd
 
 
-def _step_matrices(a: float) -> Tuple[np.ndarray, np.ndarray]:
-    d0 = np.array([[a, 0.0], [-0.5 * a, 0.5 * ROOT3 * a], [-0.5 * a, -0.5 * ROOT3 * a]])
-    return d0, -d0
-
-
 # ---------------------------------------------------------------------------
 # Endpoint sampling
 # ---------------------------------------------------------------------------
@@ -74,9 +73,8 @@ def sample_endpoint_indices(
     """Index endpoints ``(j, k)`` of ``replicas`` independent walks of length ``n``.
 
     Returns an int64 array of shape (replicas, 2).  The endpoint follows
-    from the direction counts alone:
-
-        j = -(c01 + c02) + (c11 + c12),      k = c01 - c11.
+    from the direction counts alone: it is the sum of the index shifts
+    of the steps taken.
     """
     if n < 0:
         raise InvalidParameterError(f"walk length must be nonnegative, got {n}")
@@ -84,6 +82,7 @@ def sample_endpoint_indices(
         raise InvalidParameterError(f"need at least one replica, got {replicas}")
     m0, m1 = _class_counts(0, n)
     p0, p1 = _row_pvals(q, 0), _row_pvals(q, 1)
+    s0, s1 = np.array(INDEX_SHIFTS, dtype=np.int64)
     out = np.empty((replicas, 2), dtype=np.int64)
     for chunk in range((replicas + CHUNK - 1) // CHUNK):
         gen = _chunk_generator(seed, chunk)
@@ -91,52 +90,53 @@ def sample_endpoint_indices(
         size = min(CHUNK, replicas - lo)
         c0 = gen.multinomial(m0, p0, size=size)
         c1 = gen.multinomial(m1, p1, size=size)
-        out[lo : lo + size, 0] = -c0[:, 1] - c0[:, 2] + c1[:, 1] + c1[:, 2]
-        out[lo : lo + size, 1] = c0[:, 1] - c1[:, 1]
+        out[lo : lo + size] = c0 @ s0 + c1 @ s1
     return out
-
-
-def indices_to_cartesian(jk: np.ndarray, n: int, a: float) -> np.ndarray:
-    """Cartesian endpoints for index endpoints occupied at time ``n``."""
-    i = parity(n)
-    xy = np.empty(jk.shape, dtype=float)
-    xy[:, 0] = 1.5 * a * jk[:, 0] + i * a
-    xy[:, 1] = 0.5 * ROOT3 * a * jk[:, 0] + ROOT3 * a * jk[:, 1]
-    return xy
 
 
 def sample_endpoints(
     n: int, q: StepProbabilities, replicas: int, seed: int
 ) -> np.ndarray:
     """Cartesian endpoints of ``replicas`` independent walks of length ``n``."""
-    return indices_to_cartesian(sample_endpoint_indices(n, q, replicas, seed), n, q.a)
+    jk = sample_endpoint_indices(n, q, replicas, seed)
+    return np.column_stack(to_cartesian(jk[:, 0], jk[:, 1], parity(n), q.a))
 
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    """One sampled walk: endpoint, optional full path, and its seed."""
+    """One sampled walk: endpoint, optional full path, its seed and replica."""
 
     steps: int
     endpoint: CartesianPoint
     path: Optional[tuple]
     seed: int
+    replica: int = 0
 
 
 def sample_endpoint(
-    n: int, q: StepProbabilities, seed: int, *, with_path: bool = False
+    n: int,
+    q: StepProbabilities,
+    seed: int,
+    *,
+    with_path: bool = False,
+    replica: int = 0,
 ) -> TrajectorySample:
     """Walk a single trajectory of ``n`` steps, step by step.
 
-    Reproducible given ``(seed, n, q)``.  When ``with_path`` is set the
-    returned path has ``n + 1`` Cartesian points starting at the origin,
-    with consecutive points one edge length apart.
+    Reproducible given ``(seed, replica, n, q)``: replica ``r`` draws from
+    the Philox stream keyed on ``seed`` and jumped ``r`` times, the way
+    batch chunks are keyed, so no two ``(seed, replica)`` pairs share a
+    stream.  When ``with_path`` is set the returned path has ``n + 1``
+    Cartesian points starting at the origin, with consecutive points one
+    edge length apart.
     """
     if n < 0:
         raise InvalidParameterError(f"walk length must be nonnegative, got {n}")
-    gen = np.random.Generator(_philox(seed))
+    if replica < 0:
+        raise InvalidParameterError(f"replica index must be nonnegative, got {replica}")
+    gen = _chunk_generator(seed, replica)
     thresholds = [np.cumsum(_row_pvals(q, i)) for i in (0, 1)]
-    d0, d1 = _step_matrices(q.a)
-    steps = (d0, d1)
+    steps = step_vectors(q.a)
     x = y = 0.0
     path = [CartesianPoint(0.0, 0.0)] if with_path else None
     i = 0
@@ -154,6 +154,7 @@ def sample_endpoint(
         endpoint=CartesianPoint(x, y),
         path=tuple(path) if with_path else None,
         seed=seed,
+        replica=replica,
     )
 
 
@@ -268,9 +269,9 @@ def scaled_lattice_process(
     if not big_t > 0:
         raise InvalidParameterError(f"horizon must be positive, got {big_t}")
     horizon = int(math.floor(big_t))
-    gen = np.random.Generator(_philox(seed))
+    gen = _chunk_generator(seed, 0)
     p0, p1 = _row_pvals(q, 0), _row_pvals(q, 1)
-    d0, d1 = _step_matrices(q.a)
+    d0, d1 = np.array(step_vectors(q.a))
     values = np.zeros((horizon + 1, 2))
     position = np.zeros(2)
     scale = 1.0 / math.sqrt(k)
@@ -387,7 +388,7 @@ def donsker_diagnostic(
         raise InvalidParameterError("grid must be increasing and start at 0")
     indices = [int(math.floor(n * t)) for t in grid]
     p0, p1 = _row_pvals(q, 0), _row_pvals(q, 1)
-    d0, d1 = _step_matrices(q.a)
+    d0, d1 = np.array(step_vectors(q.a))
     root_n = math.sqrt(n)
     c_matrix = asymptotic_covariance(q)
     factor, _triangular = covariance_factor(c_matrix)

@@ -111,6 +111,19 @@ class TestSample:
         assert rows[0] == "replica,step,x,y"
         assert len(rows) == 1 + 2 * 4
 
+    def test_paths_streams_keyed_on_seed_and_replica(self, capsys):
+        # Replica 1 at seed 0 must not replay replica 0 at seed 1.
+        def path(seed, replica):
+            _, out, _ = run(
+                ["sample", "--uniform", "--n", "50", "--replicas", str(replica + 1),
+                 "--seed", str(seed), "--paths"],
+                capsys,
+            )
+            rows = [r.split(",") for r in out.splitlines()[1:]]
+            return [r[2:] for r in rows if r[0] == str(replica)]
+
+        assert path(0, 1) != path(1, 0)
+
     def test_statistical_mean(self, tmp_path, capsys):
         path = tmp_path / "cloud.csv"
         run(
@@ -212,6 +225,22 @@ class TestBadConfig:
         code, _, _ = run(["dist", "--uniform", "--n", "-3"], capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("row", ["1/0,1/2,1/2", "x,1/2,1/2", "0.5,1/x,1/4"])
+    def test_malformed_probability_exits_two(self, row, capsys):
+        code, _, err = run(["dist", "--q0", row, "--q1", "1/3,1/3,1/3", "--n", "2"], capsys)
+        assert code == 2
+        assert "error" in err
+
+    def test_internal_value_error_is_not_bad_config(self, monkeypatch):
+        from hexwalk import engine
+
+        def broken(*args, **kwargs):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(engine, "evolve", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["dist", "--uniform", "--n", "2"])
+
 
 def test_console_entry_point():
     import subprocess
@@ -224,26 +253,3 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 4
-
-
-class TestThreadCap:
-    def test_env_override(self, monkeypatch):
-        from hexwalk.cli import thread_cap
-
-        monkeypatch.setenv("HEXWALK_THREADS", "2")
-        assert thread_cap() == 2
-
-    def test_bad_value_rejected(self, monkeypatch, capsys):
-        monkeypatch.setenv("HEXWALK_THREADS", "zero")
-        code, _, err = run(
-            ["rate", "--uniform", "--grid", "0:0.1:2,0:0.1:2"], capsys
-        )
-        assert code == 2
-
-    def test_grid_respects_cap(self, monkeypatch, capsys):
-        monkeypatch.setenv("HEXWALK_THREADS", "1")
-        code, out, _ = run(
-            ["rate", "--uniform", "--grid", "0:0.1:2,0:0.1:2"], capsys
-        )
-        assert code == 0
-        assert len(out.splitlines()) == 5

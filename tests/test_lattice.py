@@ -1,22 +1,26 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from hexwalk import (
     InvalidParameterError,
-    LatticeVertex,
     StepProbabilities,
     initial,
-    neighbors,
     parity,
     step,
     step_displacement,
     to_cartesian,
 )
 from hexwalk.lattice import INDEX_SHIFTS
+
+
+def neighbors(j, k, i):
+    """The three ``(j, k, class)`` neighbours of a vertex, by direction."""
+    return [(j + dj, k + dk, 1 - i) for dj, dk in INDEX_SHIFTS[i]]
 
 
 def test_parity_values():
@@ -33,21 +37,27 @@ def test_parity_rejects_negative():
 
 class TestCartesian:
     def test_origin(self):
-        p = to_cartesian(LatticeVertex(0, 0, 0), 1.0)
-        assert (p.x, p.y) == (0.0, 0.0)
+        assert to_cartesian(0, 0, 0, 1.0) == (0.0, 0.0)
 
     def test_class_shift(self):
-        p = to_cartesian(LatticeVertex(0, 0, 1), 1.0)
-        assert (p.x, p.y) == (1.0, 0.0)
+        assert to_cartesian(0, 0, 1, 1.0) == (1.0, 0.0)
 
     def test_substitution(self):
-        p = to_cartesian(LatticeVertex(1, 0, 0), 2.0)
-        assert p.x == pytest.approx(3.0, abs=1e-15)
-        assert p.y == pytest.approx(math.sqrt(3.0), abs=1e-15)
+        x, y = to_cartesian(1, 0, 0, 2.0)
+        assert x == pytest.approx(3.0, abs=1e-15)
+        assert y == pytest.approx(math.sqrt(3.0), abs=1e-15)
 
     def test_rejects_bad_edge_length(self):
         with pytest.raises(InvalidParameterError):
-            to_cartesian(LatticeVertex(0, 0, 0), 0.0)
+            to_cartesian(0, 0, 0, 0.0)
+
+    def test_arrays_map_elementwise(self):
+        j = np.array([-3, 0, 2, 7])
+        k = np.array([5, 0, -1, 4])
+        i = np.array([1, 0, 1, 0])
+        x, y = to_cartesian(j, k, i, 1.25)
+        for n in range(len(j)):
+            assert (x[n], y[n]) == to_cartesian(int(j[n]), int(k[n]), int(i[n]), 1.25)
 
 
 def test_displacements_match_trigonometric_form():
@@ -62,13 +72,11 @@ def test_displacements_match_trigonometric_form():
 
 
 def test_neighbors_of_origin_class0():
-    got = {(w.j, w.k, w.i) for w, _ in neighbors(LatticeVertex(0, 0, 0))}
-    assert got == {(0, 0, 1), (-1, 0, 1), (-1, 1, 1)}
+    assert set(neighbors(0, 0, 0)) == {(0, 0, 1), (-1, 0, 1), (-1, 1, 1)}
 
 
 def test_neighbors_of_origin_class1():
-    got = {(w.j, w.k, w.i) for w, _ in neighbors(LatticeVertex(0, 0, 1))}
-    assert got == {(0, 0, 0), (1, -1, 0), (1, 0, 0)}
+    assert set(neighbors(0, 0, 1)) == {(0, 0, 0), (1, -1, 0), (1, 0, 0)}
 
 
 def test_index_shifts_consistent_with_displacements():
@@ -76,13 +84,12 @@ def test_index_shifts_consistent_with_displacements():
     # in the direction the trigonometric formula prescribes.
     a = 1.0
     for i in (0, 1):
-        for r, (dj, dk) in enumerate(INDEX_SHIFTS[i]):
-            v = LatticeVertex(2, -1, i)
-            w = LatticeVertex(v.j + dj, v.k + dk, 1 - i)
-            pv, pw = to_cartesian(v, a), to_cartesian(w, a)
+        for r, w in enumerate(neighbors(2, -1, i)):
+            xv, yv = to_cartesian(2, -1, i, a)
+            xw, yw = to_cartesian(*w, a)
             d = step_displacement(i, r, a)
-            assert pw.x - pv.x == pytest.approx(d.x, abs=1e-12)
-            assert pw.y - pv.y == pytest.approx(d.y, abs=1e-12)
+            assert xw - xv == pytest.approx(d.x, abs=1e-12)
+            assert yw - yv == pytest.approx(d.y, abs=1e-12)
 
 
 def test_index_shifts_consistent_with_forward_recursion():
@@ -93,9 +100,7 @@ def test_index_shifts_consistent_with_forward_recursion():
         (Fraction(1, 6), Fraction(1, 2), Fraction(1, 3)),
     )
     d = step(initial(), q)
-    expected = {}
-    for w, r in neighbors(LatticeVertex(0, 0, 0)):
-        expected[(w.j, w.k)] = q.q0[r]
+    expected = {(j, k): q.q0[r] for r, (j, k, _) in enumerate(neighbors(0, 0, 0))}
     assert d.mass == expected
 
 
@@ -105,10 +110,8 @@ def test_index_shifts_consistent_with_forward_recursion():
     i=st.integers(min_value=0, max_value=1),
 )
 def test_adjacency_is_symmetric(j, k, i):
-    v = LatticeVertex(j, k, i)
-    for w, _ in neighbors(v):
-        back = {(u.j, u.k, u.i) for u, _ in neighbors(w)}
-        assert (v.j, v.k, v.i) in back
+    for w in neighbors(j, k, i):
+        assert (j, k, i) in neighbors(*w)
 
 
 @given(
@@ -118,11 +121,10 @@ def test_adjacency_is_symmetric(j, k, i):
 )
 def test_neighbors_one_edge_away(j, k, i):
     a = 1.25
-    v = LatticeVertex(j, k, i)
-    pv = to_cartesian(v, a)
-    for w, _ in neighbors(v):
-        pw = to_cartesian(w, a)
-        dist = math.hypot(pw.x - pv.x, pw.y - pv.y)
+    xv, yv = to_cartesian(j, k, i, a)
+    for w in neighbors(j, k, i):
+        xw, yw = to_cartesian(*w, a)
+        dist = math.hypot(xw - xv, yw - yv)
         assert abs(dist - a) <= 1e-12 * a
 
 
