@@ -16,7 +16,12 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from . import closedform, deviations, engine, montecarlo, validation
-from .errors import HexwalkError, InvalidParameterError, NumericalFailureError
+from .errors import (
+    HexwalkError,
+    InvalidParameterError,
+    NumericalFailureError,
+    ResourceLimitError,
+)
 from .lattice import StepProbabilities
 from .generating import moments as compute_moments
 
@@ -24,6 +29,12 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_BAD_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# Work caps, from the measured cost on one core.  A path step costs about
+# 7 us and writes one 40-byte line, so 10^6 steps take about 7 s; a rate
+# point costs about 0.3 ms, so 10^5 points take about 30 s.
+MAX_PATH_STEPS = 1_000_000
+MAX_GRID_POINTS = 100_000
 
 
 def _parse_probability(text: str):
@@ -110,6 +121,10 @@ def cmd_sample(args) -> int:
     q = _model_from_args(args)
     if args.replicas < 1:
         raise InvalidParameterError("need at least one replica")
+    if args.paths and args.replicas * args.n > MAX_PATH_STEPS:
+        raise ResourceLimitError(
+            f"{args.replicas} paths of {args.n} steps exceed the cap of {MAX_PATH_STEPS} steps"
+        )
     with _open_out(args.out) as fh:
         if args.paths:
             fh.write("replica,step,x,y\n")
@@ -132,19 +147,18 @@ def _parse_grid(text: str):
         x_part, y_part = text.split(",")
         x_min, x_max, x_steps = x_part.split(":")
         y_min, y_max, y_steps = y_part.split(":")
-        return (
-            (float(x_min), float(x_max), int(x_steps)),
-            (float(y_min), float(y_max), int(y_steps)),
-        )
+        x_axis = (float(x_min), float(x_max), int(x_steps))
+        y_axis = (float(y_min), float(y_max), int(y_steps))
     except ValueError as exc:
         raise InvalidParameterError(
             f"grid must look like xmin:xmax:steps,ymin:ymax:steps, got {text!r}"
         ) from exc
+    if x_axis[2] < 1 or y_axis[2] < 1:
+        raise InvalidParameterError("grid steps must be >= 1")
+    return x_axis, y_axis
 
 
 def _axis(lo, hi, steps):
-    if steps < 1:
-        raise InvalidParameterError("grid steps must be >= 1")
     if steps == 1:
         return [lo]
     return [lo + (hi - lo) * s / (steps - 1) for s in range(steps)]
@@ -168,6 +182,10 @@ def cmd_rate(args) -> int:
             fh.write("\n")
         return EXIT_OK
     (x_lo, x_hi, x_steps), (y_lo, y_hi, y_steps) = _parse_grid(args.grid)
+    if x_steps * y_steps > MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"a {x_steps} x {y_steps} grid exceeds the cap of {MAX_GRID_POINTS} points"
+        )
     rows = []
     for x in _axis(x_lo, x_hi, x_steps):
         for y in _axis(y_lo, y_hi, y_steps):

@@ -494,9 +494,10 @@ def empirical_decay(
     """Exact tail decay -(1/n) log P(S_n / n in halfplane) versus its limit.
 
     The halfplane is {z : u . z >= offset} for the unit normal ``u``.
-    Tail masses are accumulated from the evolution engine; in exact mode
-    the log of the rational tail is taken on numerator and denominator
-    separately, so no finite ``n`` can underflow.  Boundary membership is
+    Tail masses are summed over the evolution engine's array (float tails
+    with ``math.fsum``); in exact mode the log of the rational tail is
+    taken on numerator and denominator separately, so no finite ``n`` can
+    underflow.  Boundary membership is
     tested with a small tolerance because Cartesian coordinates involve
     sqrt(3).
     """
@@ -520,23 +521,18 @@ def empirical_decay(
         if n not in wanted:
             continue
         threshold = c * n - 1e-9 * (1.0 + abs(c) * n)
+        j, k = np.indices(dist.grid.shape)
+        x, y = to_cartesian(j + dist.origin[0], k + dist.origin[1], parity(n), q.a)
+        inside = dist.grid[u[0] * x + u[1] * y >= threshold]
         if exact:
-            tail = Fraction(0)
-        else:
-            tail = 0.0
-        i = parity(n)
-        for (j, k), p in dist.mass.items():
-            x, y = to_cartesian(j, k, i, q.a)
-            if u[0] * x + u[1] * y >= threshold:
-                tail += p
-        if exact:
+            tail = Fraction(inside.sum(), dist.den)
             if tail == 0:
                 rate = math.inf
             else:
                 rate = -_log_fraction(tail) / n
             tail_float = float(tail)
         else:
-            tail_float = tail
+            tail_float = math.fsum(inside.tolist())
             if tail_float <= 0.0:
                 # The float tail underflowed to zero during evolution;
                 # only the exact engine can resolve it.

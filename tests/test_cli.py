@@ -1,5 +1,6 @@
 import json
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -51,7 +52,7 @@ class TestDist:
         data = json.loads(out)
         assert data["n"] == 2
         assert data["mode"] == "rational"
-        assert abs(sum(e["p"] for e in data["entries"]) - 1.0) <= 1e-12
+        assert sum(Fraction(e["p"]) for e in data["entries"]) == 1
 
     def test_heatmap_prints(self, capsys):
         code, out, _ = run(["dist", "--uniform", "--n", "2", "--heatmap"], capsys)
@@ -253,3 +254,53 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 4
+
+
+class TestCaps:
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    def test_dist_steps_refused(self, capsys, monkeypatch):
+        from hexwalk import engine
+
+        monkeypatch.setattr(engine, "_advance", self.refuse)
+        n = str(engine.MAX_EXACT_STEPS + 1)
+        code, _, err = run(["dist", "--uniform", "--n", n], capsys)
+        assert code == 2
+        assert "cap" in err
+
+    def test_closed_form_refused(self, capsys, monkeypatch):
+        from hexwalk import closedform
+
+        monkeypatch.setattr(closedform, "state_probability", self.refuse)
+        n = str(closedform.MAX_EXACT_STEPS + 1)
+        code, _, err = run(["dist", "--uniform", "--n", n, "--engine", "closed-form"], capsys)
+        assert code == 2
+        assert "cap" in err
+
+    def test_paths_refused(self, capsys, monkeypatch):
+        from hexwalk import cli, montecarlo
+
+        monkeypatch.setattr(montecarlo, "sample_endpoint", self.refuse)
+        n = str(cli.MAX_PATH_STEPS // 50 + 1)
+        code, out, err = run(
+            ["sample", "--uniform", "--n", n, "--replicas", "50", "--paths"], capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "cap" in err
+
+    def test_grid_refused(self, capsys, monkeypatch):
+        from hexwalk import cli, deviations
+
+        monkeypatch.setattr(deviations, "legendre", self.refuse)
+        side = int(cli.MAX_GRID_POINTS**0.5) + 1
+        code, _, err = run(["rate", "--uniform", f"--grid=0:1:{side},0:1:{side}"], capsys)
+        assert code == 2
+        assert "cap" in err
+
+    def test_grid_steps_checked_before_cap(self, capsys):
+        code, _, err = run(["rate", "--uniform", "--grid=0:1:-400,0:1:-400"], capsys)
+        assert code == 2
+        assert "steps must be >= 1" in err

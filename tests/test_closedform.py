@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from hexwalk import (
     InvalidParameterError,
+    ResourceLimitError,
     StepProbabilities,
     UnsupportedParametersError,
     check_symmetry,
@@ -219,3 +220,29 @@ class TestSymmetry:
     def test_requires_positive_m(self):
         with pytest.raises(InvalidParameterError):
             check_symmetry(UNIFORM, 0)
+
+
+class TestCaps:
+    @pytest.fixture(autouse=True)
+    def no_closed_form(self, monkeypatch):
+        from hexwalk import closedform
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the closed form ran")
+
+        monkeypatch.setattr(closedform, "state_probability", refuse)
+        monkeypatch.setattr(closedform, "_even_probability", refuse)
+
+    @pytest.mark.parametrize("q", [UNIFORM, UNIFORM.as_float()], ids=["exact", "float"])
+    def test_distribution_refused(self, q):
+        from hexwalk import closedform
+
+        cap = closedform.MAX_EXACT_STEPS if q.exact else closedform.MAX_FLOAT_STEPS
+        with pytest.raises(ResourceLimitError):
+            closed_form_distribution(cap + 1, q)
+
+    def test_symmetry_refused(self):
+        from hexwalk import closedform
+
+        with pytest.raises(ResourceLimitError):
+            check_symmetry(UNIFORM, closedform.MAX_EXACT_STEPS // 2 + 1)

@@ -1,4 +1,5 @@
 import io
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from hexwalk import (
 )
 from hexwalk import engine
 from hexwalk.closedform import region_of
+from hexwalk.lattice import INDEX_SHIFTS, parity
 from hexwalk.validation import PARAMETER_BATTERY
 
 UNIFORM = StepProbabilities.uniform()
@@ -157,6 +159,15 @@ class TestSerialization:
         engine.write_json(back, second, mode=mode)
         assert first.getvalue() == second.getvalue()
 
+    def test_json_roundtrip_is_exact(self):
+        d = evolve(ASYM, 9)
+        out = io.StringIO()
+        engine.write_json(d, out)
+        back, mode = engine.read_json(io.StringIO(out.getvalue()))
+        assert back.exact and mode == "rational"
+        assert back.n == 9
+        assert back.mass == d.mass
+
     def test_json_mode_label(self):
         d = evolve(ASYM, 3, exact=False)
         out = io.StringIO()
@@ -178,3 +189,100 @@ def test_distribution_getitem_default():
 def test_iterate_mode_mismatch_rejected():
     with pytest.raises(InvalidParameterError):
         list(iterate(UNIFORM, 2, exact=True, start=initial(exact=False)))
+
+
+# ---------------------------------------------------------------------------
+# The array engine against an independent reference: every path, summed
+# ---------------------------------------------------------------------------
+
+TWO_ZEROS = StepProbabilities(
+    (Fraction(0), Fraction(1, 3), Fraction(2, 3)), (Fraction(1), Fraction(0), Fraction(0))
+)
+PATH_WALKS = PARAMETER_BATTERY + (("two-zeros", TWO_ZEROS),)
+
+
+def path_sum(q, start_mass, n0, n):
+    """Masses at time ``n0 + n``: every one of the 3^n paths from every start state."""
+    out = {}
+    for (j, k), p in start_mass.items():
+        for path in itertools.product(range(3), repeat=n):
+            weight, jj, kk = Fraction(p), j, k
+            for t, r in enumerate(path):
+                i = parity(n0 + t)
+                weight *= q.row(i)[r]
+                jj, kk = jj + INDEX_SHIFTS[i][r][0], kk + INDEX_SHIFTS[i][r][1]
+            out[(jj, kk)] = out.get((jj, kk), 0) + weight
+    return {jk: p for jk, p in out.items() if p}
+
+
+def check_against_paths(q, start, n_max):
+    float_start = Distribution(start.n, {jk: float(p) for jk, p in start.mass.items()}, False)
+    snapshots = list(iterate(q, n_max, start=start))
+    floats = list(iterate(q.as_float(), n_max, start=float_start))
+    for t, (d, df) in enumerate(zip(snapshots, floats)):
+        expected = path_sum(q, start.mass, start.n, t)
+        assert d.n == df.n == start.n + t
+        assert d.mass == expected
+        assert d.support() == set(expected)
+        assert df.support() == set(expected)
+        assert all(abs(df[jk] - float(p)) <= 1e-15 for jk, p in expected.items())
+        out = io.StringIO()
+        engine.write_csv(d, out)
+        rows = [line.split(",") for line in out.getvalue().splitlines()[1:]]
+        assert [(int(j), int(k)) for j, k, _ in rows] == sorted(expected)
+        assert all(float(p) > 0 for _, _, p in rows)
+
+
+@pytest.mark.parametrize("name,q", PATH_WALKS, ids=[n for n, _ in PATH_WALKS])
+def test_iterate_matches_path_sum(name, q):
+    check_against_paths(q, initial(), 8)
+
+
+def test_iterate_matches_path_sum_far_start():
+    check_against_paths(ASYM, initial(1000, -1000), 7)
+
+
+def test_iterate_matches_path_sum_spread_start():
+    start = Distribution(
+        0, {(0, 0): Fraction(1, 2), (3, -1): Fraction(1, 3), (-2, 4): Fraction(1, 6)}
+    )
+    check_against_paths(ASYM, start, 6)
+
+
+def test_iterate_matches_path_sum_odd_start():
+    start = Distribution(5, {(2, 1): Fraction(3, 4), (2, 3): Fraction(1, 4)})
+    check_against_paths(dict(PARAMETER_BATTERY)["no-middle"], start, 6)
+
+
+def test_snapshots_stay_valid():
+    snapshots = list(iterate(ASYM, 6))
+    again = list(iterate(ASYM, 6))
+    assert snapshots == again
+    with pytest.raises(ValueError):
+        snapshots[3].grid[0, 0] = 1
+
+
+class TestCaps:
+    @pytest.fixture(autouse=True)
+    def no_kernel(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the kernel ran")
+
+        monkeypatch.setattr(engine, "_advance", refuse)
+
+    def test_exact_steps_refused(self):
+        with pytest.raises(ResourceLimitError):
+            evolve(UNIFORM, engine.MAX_EXACT_STEPS + 1)
+
+    def test_float_steps_refused(self):
+        with pytest.raises(ResourceLimitError):
+            evolve(UNIFORM.as_float(), engine.MAX_FLOAT_STEPS + 1)
+
+    def test_box_growth_refused(self):
+        start = Distribution(0, {(0, 0): 0.5, (999, 999): 0.5}, exact=False)
+        with pytest.raises(ResourceLimitError):
+            evolve(UNIFORM.as_float(), engine.MAX_FLOAT_STEPS, start=start)
+
+    def test_oversized_box_refused(self):
+        with pytest.raises(ResourceLimitError):
+            Distribution(0, {(0, 0): 0.5, (10**6, 10**6): 0.5}, exact=False)
