@@ -31,8 +31,9 @@ EXIT_BAD_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # Work caps, from the measured cost on one core.  A path step costs about
-# 7 us and writes one 40-byte line, so 10^6 steps take about 7 s; a rate
-# point costs about 0.3 ms, so 10^5 points take about 30 s.
+# 7 us and writes one 40-byte line, so 10^6 steps take about 7 s.  A rate
+# point inside the velocity domain costs about 0.2 ms (Newton) and one
+# outside it 10-20 us, so 10^5 points take at most about 20 s.
 MAX_PATH_STEPS = 1_000_000
 MAX_GRID_POINTS = 100_000
 

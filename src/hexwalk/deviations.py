@@ -18,13 +18,20 @@ and convex.
 
 The rate function is the convex conjugate
 
-    rate(x, y) = sup_lam { lam . (x, y) - cgf(lam) },
+    rate(x, y) = sup_lam { lam . (x, y) - cgf(lam) }.
 
-computed by safeguarded Newton ascent on the concave objective.  Points
-outside the closure of the reachable velocity set make the objective
-grow without bound; this is detected operationally (iterate norm beyond
-a cap while the objective still climbs) rather than by characterizing
-the domain boundary in closed form.
+It is finite exactly on the velocity domain
+
+    D = (1/2) hull(supp q0) + (1/2) hull(supp q1),
+
+the hull of the midpoints (c_{0,r} + c_{1,s}) / 2 over positive-weight
+directions: the conjugate of a log-partition function is finite on the
+hull of its exponent vectors (Rockafellar, *Convex Analysis*), and that
+of a sum is the Minkowski sum.  ``velocity_domain`` builds D once per
+walk, and ``legendre`` returns infinity outside it without iterating.
+Inside the closed domain the supremum is found by safeguarded Newton
+ascent on the concave objective; on the boundary it is approached as
+lam runs off to infinity, and Newton stops when the gradient is small.
 
 The moderate-deviations rate is the conjugate of the quadratic
 (1/2) lam^T C lam, i.e. (1/2) z^T C^{-1} z for invertible C; singular C
@@ -35,6 +42,7 @@ infinite off it).
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -46,6 +54,9 @@ from .generating import asymptotic_covariance, log_partition, log_pgf, moments
 
 DEFAULT_GRADIENT_TOL = 1e-9
 MAX_NEWTON_ITERATIONS = 200
+# How far outside the velocity domain a point may lie and still count as
+# on it, relative to the edge length a: about 1e4 ulps of the domain's size.
+DOMAIN_SLACK = 1e-12
 
 _DEFAULT_LAMBDA_GRID = tuple(
     (x, y) for x in (-1.0, -0.5, 0.5, 1.0) for y in (-1.0, -0.5, 0.5, 1.0)
@@ -83,22 +94,41 @@ def cgf_hessian(lam1: float, lam2: float, q: StepProbabilities) -> np.ndarray:
     return 0.5 * np.add(*_tilt(lam1, lam2, q)[2])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RateResult:
-    """A rate-function evaluation at one velocity point."""
+    """A rate-function evaluation at the velocity point ``(x, y)``.
 
-    point: Tuple[float, float]
+    ``value`` is infinite where the rate is; ``(lam1, lam2)`` is the
+    maximizing lam, None where no maximizer is reported.  ``point``,
+    ``finite`` and ``maximizer`` are derived, so the result stays small
+    for callers that keep many.
+    """
+
+    x: float
+    y: float
     value: float
-    maximizer: Optional[Tuple[float, float]]
-    finite: bool
+    lam1: Optional[float]
+    lam2: Optional[float]
     iterations: int
     gradient_residual: float
     note: str = ""
 
+    @property
+    def point(self) -> Tuple[float, float]:
+        return (self.x, self.y)
+
+    @property
+    def finite(self) -> bool:
+        return self.value < math.inf
+
+    @property
+    def maximizer(self) -> Optional[Tuple[float, float]]:
+        return None if self.lam1 is None else (self.lam1, self.lam2)
+
     def as_dict(self) -> dict:
         return {
-            "x": self.point[0],
-            "y": self.point[1],
+            "x": self.x,
+            "y": self.y,
             "value": None if not self.finite else self.value,
             "finite": self.finite,
             "maximizer": list(self.maximizer) if self.maximizer else None,
@@ -108,6 +138,82 @@ class RateResult:
         }
 
 
+def _hull(points) -> tuple:
+    """Convex hull of ``points``, counter-clockwise, corners only (monotone chain)."""
+    pts = sorted(set(points))
+    if len(pts) < 3:
+        return tuple(pts)
+
+    def turn(o, p, r):
+        return (p[0] - o[0]) * (r[1] - o[1]) - (p[1] - o[1]) * (r[0] - o[0])
+
+    lower, upper = [], []
+    for chain, ordered in ((lower, pts), (upper, pts[::-1])):
+        for p in ordered:
+            while len(chain) >= 2 and turn(chain[-2], chain[-1], p) <= 0:
+                chain.pop()
+            chain.append(p)
+    return tuple(lower[:-1] + upper[:-1])
+
+
+def _segment_distance(x: float, y: float, a, b) -> float:
+    (ax, ay), (bx, by) = a, b
+    dx, dy = bx - ax, by - ay
+    length2 = dx * dx + dy * dy
+    t = 0.0 if length2 == 0 else min(1.0, max(0.0, ((x - ax) * dx + (y - ay) * dy) / length2))
+    return math.hypot(x - ax - t * dx, y - ay - t * dy)
+
+
+class VelocityDomain:
+    """The closed set of velocities at which the rate function is finite.
+
+    ``vertices`` are the hull's corners, counter-clockwise.  When the
+    supports are degenerate the hull collapses to a segment (two
+    vertices) or a point (one), and the objective of ``legendre`` is flat
+    across it; ``along`` is then the orthogonal projector onto the
+    directions it is not flat in and ``across`` its complement.  Both are
+    None for a polygon.
+    """
+
+    def __init__(self, vertices):
+        self.vertices = tuple(vertices)
+        self.edges = tuple(zip(self.vertices, self.vertices[1:] + self.vertices[:1]))
+        self.along = self.across = None
+        if len(self.vertices) < 3:
+            along = np.zeros((2, 2))
+            if len(self.vertices) == 2:
+                (ax, ay), (bx, by) = self.vertices
+                u = np.array([bx - ax, by - ay]) / math.hypot(bx - ax, by - ay)
+                along = np.outer(u, u)
+            self.along, self.across = along, np.eye(2) - along
+            # Shared by every caller through the cache of ``velocity_domain``.
+            along.flags.writeable = self.across.flags.writeable = False
+
+    def distance(self, x: float, y: float) -> float:
+        """Euclidean distance from ``(x, y)`` to the domain; 0 inside."""
+        if len(self.vertices) >= 3 and all(
+            (bx - ax) * (y - ay) >= (by - ay) * (x - ax) for (ax, ay), (bx, by) in self.edges
+        ):
+            return 0.0
+        return min(_segment_distance(x, y, a, b) for a, b in self.edges)
+
+
+@lru_cache(maxsize=16)
+def velocity_domain(q: StepProbabilities) -> VelocityDomain:
+    """The velocity domain of the walk ``q``, built once per walk.
+
+    It is (1/2) hull(supp q0) + (1/2) hull(supp q1): the hull of the
+    midpoints (c_{0,r} + c_{1,s}) / 2 over the exponent vectors of the
+    directions with positive weight.
+    """
+    c0, c1 = exponent_vectors(q.a)
+    return VelocityDomain(_hull(
+        (0.5 * (x0 + x1), 0.5 * (y0 + y1))
+        for (x0, y0), p0 in zip(c0, q.q0) if p0 > 0
+        for (x1, y1), p1 in zip(c1, q.q1) if p1 > 0
+    ))
+
+
 def legendre(
     x: float,
     y: float,
@@ -115,21 +221,32 @@ def legendre(
     tol: float = DEFAULT_GRADIENT_TOL,
     *,
     max_iterations: int = MAX_NEWTON_ITERATIONS,
-    norm_cap: Optional[float] = None,
 ) -> RateResult:
-    """Convex conjugate of ``cgf`` at velocity ``(x, y)`` by Newton ascent.
+    """Convex conjugate of ``cgf`` at velocity ``(x, y)``.
 
-    The objective lam -> lam . (x, y) - cgf(lam) is concave with analytic
-    gradient and Hessian; each Newton step is safeguarded by halving the
-    step until the objective increases.  A velocity outside the closure
-    of the reachable set makes the objective increase along an unbounded
-    ray; once the iterate norm passes ``norm_cap`` (default
-    1e3 / (sqrt(3) a)) the value is declared infinite.
+    Outside ``velocity_domain(q)`` the value and the reported gradient
+    residual are infinite and no iteration runs.  Points within
+    ``DOMAIN_SLACK * a`` of the domain count as on it, which absorbs float
+    rounding of the point and of the hull.  The slack shrinks to
+    ``tol / 10`` for smaller ``tol``: at a point just outside, the gradient
+    norm never falls below the distance, so Newton converges there only
+    if the distance is well below ``tol``.
+
+    Inside, Newton ascent on the concave objective lam -> lam . (x, y) -
+    cgf(lam) runs until the gradient norm is at most ``tol``.  Each step
+    is capped to a trust length that grows with the iterate, then halved
+    until the objective increases.  On the boundary the supremum is
+    approached as lam runs off to infinity, where the Hessian can
+    underflow to singular; the step is then a least-squares solve.  On a
+    segment or point domain, lam moves only along the domain.
     """
     if not tol > 0:
         raise InvalidParameterError(f"tolerance must be positive, got {tol}")
-    if norm_cap is None:
-        norm_cap = 1e3 / (ROOT3 * q.a)
+    domain = velocity_domain(q)
+    if domain.distance(x, y) > min(DOMAIN_SLACK * q.a, 0.1 * tol):
+        return RateResult(
+            x, y, math.inf, None, None, 0, math.inf, note="outside the velocity domain"
+        )
     z = np.array([x, y], dtype=float)
     lam = np.zeros(2)
 
@@ -141,48 +258,25 @@ def legendre(
     for iteration in range(max_iterations):
         _, mean, cov = _tilt(*lam.tolist(), q)
         grad = z - 0.5 * np.add(*mean)
+        hess = 0.5 * np.add(*cov)
+        if domain.along is not None:
+            # The objective is flat across a segment or point domain: drop
+            # the gradient across it and give that direction unit curvature,
+            # so every step runs along the domain.
+            grad = domain.along @ grad
+            hess = domain.along @ hess @ domain.along + domain.across
         residual = float(np.hypot(grad[0], grad[1]))
         if residual <= tol:
-            return RateResult(
-                point=(x, y),
-                value=f,
-                maximizer=(float(lam[0]), float(lam[1])),
-                finite=True,
-                iterations=iteration,
-                gradient_residual=residual,
-            )
-        hess = 0.5 * np.add(*cov)
-        push = 1.0 + float(np.linalg.norm(lam))
+            return RateResult(x, y, f, *lam.tolist(), iteration, residual)
         try:
             direction = np.linalg.solve(hess, grad)
         except np.linalg.LinAlgError:
             direction = np.linalg.lstsq(hess, grad, rcond=None)[0]
-            if np.all(np.isfinite(direction)):
-                # Any gradient component the Hessian cannot see is a
-                # flat ray of the objective; push along it so divergence
-                # is detected.
-                null_part = grad - hess @ direction
-                null_norm = float(np.linalg.norm(null_part))
-                if null_norm > tol:
-                    direction = direction + null_part / null_norm * push
-        # Far outside the reachable set the Hessian decays to float
-        # noise, so the model step can be non-finite (its squared length
-        # may overflow), non-ascending, or too long for any number of
-        # halvings to tame.  Replace garbage with a gradient push that
-        # grows with the iterate, then trust-cap the length; capped steps
-        # still grow the iterate norm geometrically, so divergence
-        # detection is intact.
-        with np.errstate(over="ignore"):
-            direction_norm = float(np.linalg.norm(direction))
-        if math.isfinite(direction_norm):
-            slope = float(grad @ direction)
-        else:
-            slope = math.nan
-        if not (math.isfinite(slope) and slope > 0):
-            direction = grad * (push / max(residual, 1e-300))
-            direction_norm = push
-            slope = residual * push
-        max_step = 4.0 * push
+        # Trust cap: near the boundary the curvature decays with lam and
+        # the model step can be far too long.
+        direction_norm = float(np.linalg.norm(direction))
+        slope = float(grad @ direction)
+        max_step = 4.0 * (1.0 + float(np.linalg.norm(lam)))
         if direction_norm > max_step:
             scale = max_step / direction_norm
             direction = direction * scale
@@ -206,22 +300,20 @@ def legendre(
             )
         lam = lam + t * direction
         f = fc
-        if float(np.linalg.norm(lam)) > norm_cap:
-            # Objective has increased at every accepted step, so the
-            # supremum is not attained inside the cap: unreachable velocity.
-            return RateResult(
-                point=(x, y),
-                value=math.inf,
-                maximizer=None,
-                finite=False,
-                iterations=iteration + 1,
-                gradient_residual=residual,
-                note="iterate norm exceeded cap with objective still increasing",
-            )
     raise NumericalFailureError(
         f"no convergence within {max_iterations} iterations for point ({x}, {y})",
         last_iterate=(float(lam[0]), float(lam[1])),
     )
+
+
+@lru_cache(maxsize=16)
+def _quadratic_form(q: StepProbabilities):
+    """C and its eigendecomposition, once per walk; read-only, as every caller shares them."""
+    c_matrix = asymptotic_covariance(q)
+    eigvals, eigvecs = np.linalg.eigh(c_matrix)
+    for array in (c_matrix, eigvals, eigvecs):
+        array.flags.writeable = False
+    return c_matrix, eigvals, eigvecs
 
 
 def moderate_rate(x: float, y: float, q: StepProbabilities) -> RateResult:
@@ -231,21 +323,15 @@ def moderate_rate(x: float, y: float, q: StepProbabilities) -> RateResult:
     For singular C the supremum is finite only for z in the range of C
     (then given by the pseudo-inverse quadratic) and infinite otherwise.
     """
-    c_matrix = asymptotic_covariance(q)
+    c_matrix, eigvals, eigvecs = _quadratic_form(q)
     z = np.array([x, y], dtype=float)
-    eigvals, eigvecs = np.linalg.eigh(c_matrix)
     scale = float(eigvals.max(initial=0.0))
     rank_tol = 1e-12 * max(scale, 1.0)
     if eigvals.min() > rank_tol:
         lam = np.linalg.solve(c_matrix, z)
         value = 0.5 * float(z @ lam)
         return RateResult(
-            point=(x, y),
-            value=value,
-            maximizer=(float(lam[0]), float(lam[1])),
-            finite=True,
-            iterations=0,
-            gradient_residual=float(np.linalg.norm(c_matrix @ lam - z)),
+            x, y, value, *lam.tolist(), 0, float(np.linalg.norm(c_matrix @ lam - z))
         )
     # Singular case: decompose z along the eigenbasis.
     coeffs = eigvecs.T @ z
@@ -254,12 +340,7 @@ def moderate_rate(x: float, y: float, q: StepProbabilities) -> RateResult:
     )
     if off_range > 1e-9 * (1.0 + float(np.linalg.norm(z))):
         return RateResult(
-            point=(x, y),
-            value=math.inf,
-            maximizer=None,
-            finite=False,
-            iterations=0,
-            gradient_residual=off_range,
+            x, y, math.inf, None, None, 0, off_range,
             note="singular covariance: point outside the range of C",
         )
     safe = eigvals > rank_tol
@@ -267,12 +348,7 @@ def moderate_rate(x: float, y: float, q: StepProbabilities) -> RateResult:
     lam = eigvecs @ (inv * coeffs)
     value = 0.5 * float(z @ lam)
     return RateResult(
-        point=(x, y),
-        value=value,
-        maximizer=(float(lam[0]), float(lam[1])),
-        finite=True,
-        iterations=0,
-        gradient_residual=float(np.linalg.norm(c_matrix @ lam - z)),
+        x, y, value, *lam.tolist(), 0, float(np.linalg.norm(c_matrix @ lam - z)),
         note="singular covariance: conjugate taken on the range of C",
     )
 

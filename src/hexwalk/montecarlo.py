@@ -41,7 +41,7 @@ from .generating import asymptotic_covariance, moments
 CHUNK = 1 << 14
 
 
-def _chunk_generator(seed: int, chunk: int) -> np.random.Generator:
+def _chunk_generator(seed: int, chunk: int) -> "np.random.Generator":
     """The Philox stream keyed on ``seed``, jumped ``chunk`` times."""
     base = np.random.Philox(key=seed % (1 << 128))
     return np.random.Generator(base.jumped(chunk) if chunk else base)

@@ -177,6 +177,37 @@ class TestRate:
         assert data["finite"] is False
         assert data["value"] is None
 
+    def test_wide_grid_runs_newton_inside_the_domain_only(self, capsys, monkeypatch):
+        from hexwalk import deviations
+
+        kernel_calls = []
+        legendre, kernel = deviations.legendre, deviations.log_partition
+
+        def counted_legendre(*args, **kwargs):
+            kernel_calls.append(0)
+            return legendre(*args, **kwargs)
+
+        def counted_kernel(*args):
+            kernel_calls[-1] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(deviations, "legendre", counted_legendre)
+        monkeypatch.setattr(deviations, "log_partition", counted_kernel)
+        code, out, _ = run(["rate", "--uniform", "--grid=-3:3:31,-3:3:31"], capsys)
+        assert code == 0
+        rows = [r.split(",") for r in out.splitlines()]
+        assert rows[0] == ["x", "y", "rate", "finite"]
+        assert len(rows) - 1 == len(kernel_calls) == 31 * 31
+        # The uniform walk's domain is the hexagon with corners (0, +-sqrt(3)/2)
+        # and (+-3/4, +-sqrt(3)/4); no grid point lies on its boundary.
+        inside = [
+            abs(float(x)) < 0.75 and abs(float(y)) + abs(float(x)) / math.sqrt(3) < math.sqrt(3) / 2
+            for x, y, _, _ in rows[1:]
+        ]
+        assert [r[3] for r in rows[1:]] == ["true" if i else "false" for i in inside]
+        assert [n > 0 for n in kernel_calls] == inside
+        assert 0 < sum(inside) < 100
+
     def test_point_and_grid_conflict(self, capsys):
         code, _, err = run(
             ["rate", "--uniform", "--point", "0", "0", "--grid", "0:1:2,0:1:2"], capsys
@@ -254,6 +285,19 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["n"] == 4
+
+
+def test_import_leaves_numpy_random_unloaded():
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, hexwalk.cli; print('numpy.random' in sys.modules)"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "False"
 
 
 class TestCaps:

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,6 +26,7 @@ from hexwalk.validation import PARAMETER_BATTERY
 
 UNIFORM = StepProbabilities.uniform()
 ZIGZAG = dict(PARAMETER_BATTERY)["no-middle"]
+ZIGZAG_WIDE = StepProbabilities(ZIGZAG.q0, ZIGZAG.q1, a=1.7)
 LAM_GRID = [(x, y) for x in (-2.0, -0.5, 0.0, 1.0) for y in (-1.5, 0.0, 0.5, 2.0)]
 
 
@@ -139,6 +141,47 @@ def test_scaled_log_pgf_converges_to_cgf():
     assert gaps[0] > gaps[1] > gaps[2]
 
 
+def velocity_corners(q):
+    """Test-local corners of the velocity domain, each with its (r, s) step pair.
+
+    Over a class-0 step r and a class-1 step s the lattice offsets cancel,
+    so the two-step velocities are midpoints of ``step_displacement``s.  A
+    corner is the unique maximiser of a linear functional over them, found
+    by scanning directions one degree apart.
+    """
+    midpoints = {}
+    for r, s in itertools.product(range(3), repeat=2):
+        if q.q0[r] > 0 and q.q1[s] > 0:
+            d0, d1 = step_displacement(0, r, q.a), step_displacement(1, s, q.a)
+            midpoints[(0.5 * (d0.x + d1.x), 0.5 * (d0.y + d1.y))] = (r, s)
+    corners = {}
+    for degrees in range(360):
+        u = (math.cos(math.radians(degrees)), math.sin(math.radians(degrees)))
+        (best, p), *rest = sorted(((u[0] * x + u[1] * y, (x, y)) for x, y in midpoints), reverse=True)
+        if not rest or best - rest[0][0] > 1e-9:
+            corners[p] = midpoints[p]
+    return corners
+
+
+def domain_distances(corners, x, y):
+    """Distances from (x, y) to the hull of ``corners`` (0 inside) and to its boundary."""
+    cx = sum(p[0] for p in corners) / len(corners)
+    cy = sum(p[1] for p in corners) / len(corners)
+    ring = sorted(corners, key=lambda p: math.atan2(p[1] - cy, p[0] - cx))
+    edges = list(zip(ring, ring[1:] + ring[:1]))
+
+    def to_segment(a, b):
+        d = np.subtract(b, a)
+        t = 0.0 if not d.any() else np.clip(np.dot(np.subtract((x, y), a), d) / np.dot(d, d), 0, 1)
+        return float(np.hypot(*(np.subtract((x, y), a) - t * d)))
+
+    boundary = min(to_segment(a, b) for a, b in edges)
+    inside = len(ring) > 2 and all(
+        (b[0] - a[0]) * (y - a[1]) - (b[1] - a[1]) * (x - a[0]) > 0 for a, b in edges
+    )
+    return (0.0 if inside else boundary), boundary
+
+
 class TestLegendre:
     def test_zero_at_mean_velocity(self):
         for _, q in PARAMETER_BATTERY:
@@ -204,6 +247,15 @@ class TestLegendre:
         assert r.value == math.inf
         assert r.maximizer is None
 
+    def test_domain_slack_stays_below_tolerance(self):
+        # 5e-13 beyond the uniform hexagon's edge x = 3/4: within the
+        # rounding slack at the default tolerance, but outside it when the
+        # tolerance is too small for Newton to converge there.
+        assert legendre(0.75 + 5e-13, 0.0, UNIFORM).finite
+        r = legendre(0.75 + 5e-13, 0.0, UNIFORM, 1e-14)
+        assert not r.finite
+        assert r.iterations == 0
+
     def test_rejects_bad_tolerance(self):
         with pytest.raises(InvalidParameterError):
             legendre(0.0, 0.0, UNIFORM, 0.0)
@@ -219,6 +271,22 @@ class TestLegendre:
         off_line = on_line + np.array([-drift[1], drift[0]])
         r_off = legendre(float(off_line[0]), float(off_line[1]), ZIGZAG)
         assert not r_off.finite
+
+    @pytest.mark.parametrize(
+        "q", [q for _, q in PARAMETER_BATTERY] + [ZIGZAG_WIDE],
+        ids=[name for name, _ in PARAMETER_BATTERY] + ["no-middle-a1.7"],
+    )
+    def test_value_at_domain_corners(self, q):
+        # At a corner the tilted law concentrates on the one step pair
+        # (r, s) whose velocity it is, so the rate is -log of that pair's
+        # probability per step.
+        corners = velocity_corners(q)
+        assert len(corners) >= 2
+        for (x, y), (r, s) in corners.items():
+            result = legendre(x, y, q)
+            expected = -0.5 * (math.log(q.q0[r]) + math.log(q.q1[s]))
+            assert result.finite, (x, y)
+            assert result.value == pytest.approx(expected, abs=1e-8)
 
 
 class TestModerateRate:
@@ -369,13 +437,19 @@ def test_empirical_decay_float_mode_tracks_exact():
 
 
 def test_legendre_never_stalls_on_velocity_sweep():
-    # Far outside the reachable set the Hessian degenerates to float
-    # noise; every point must either converge or be flagged infinite.
+    # Every point converges or is flagged infinite, and the verdict is the
+    # test-local domain's, except within 1e-9 of its boundary.
     for _, q in PARAMETER_BATTERY:
+        corners = velocity_corners(q)
         for x in np.linspace(-1.2, 1.2, 9):
             for y in np.linspace(-1.2, 1.2, 9):
                 r = legendre(float(x), float(y), q)
+                outside, boundary = domain_distances(corners, float(x), float(y))
+                if boundary > 1e-9:
+                    assert r.finite == (outside == 0.0), (x, y)
                 if r.finite:
                     assert r.value >= -1e-12
                 else:
                     assert r.value == math.inf
+    # A point on an edge of the uniform walk's hexagon stays finite.
+    assert legendre(0.75, 0.0, UNIFORM).value == 0.7520386978169888
