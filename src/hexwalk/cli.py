@@ -15,6 +15,8 @@ import sys
 from contextlib import contextmanager
 from fractions import Fraction
 
+import numpy as np
+
 from . import closedform, deviations, engine, montecarlo, validation
 from .errors import (
     HexwalkError,
@@ -31,9 +33,10 @@ EXIT_BAD_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 # Work caps, from the measured cost on one core.  A path step costs about
-# 7 us and writes one 40-byte line, so 10^6 steps take about 7 s.  A rate
-# point inside the velocity domain costs about 0.2 ms (Newton) and one
-# outside it 10-20 us, so 10^5 points take at most about 20 s.
+# 0.3 us and writes one line of about 33 bytes, so 10^6 steps take about
+# 0.3 s and write 33 MB.  A rate point inside the velocity domain costs
+# about 0.2 ms (Newton) and one outside it 10-20 us, so 10^5 points take
+# at most about 20 s.
 MAX_PATH_STEPS = 1_000_000
 MAX_GRID_POINTS = 100_000
 
@@ -118,11 +121,37 @@ def cmd_moments(args) -> int:
     return EXIT_OK
 
 
+def _formatted(column):
+    """``%.17g`` strings of a float64 column, each distinct value formatted once.
+
+    Values are told apart by their bit patterns, so ``-0.0`` and ``0.0``
+    keep their own strings.
+    """
+    bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+    text = np.array([f"{v:.17g}" for v in bits.view(np.float64).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_rows(fh, xy, lead=""):
+    """Write row ``i`` of the (rows, 2) array ``xy`` as ``{lead}{i},{x},{y}``.
+
+    One block of ``montecarlo.CHUNK`` rows is formatted and written at a
+    time, so memory stays flat however many rows there are.
+    """
+    for lo in range(0, len(xy), montecarlo.CHUNK):
+        block = xy[lo : lo + montecarlo.CHUNK]
+        xs, ys = _formatted(block[:, 0]), _formatted(block[:, 1])
+        rows = zip(range(lo, lo + len(block)), xs, ys)
+        fh.write("".join([f"{lead}{i},{x},{y}\n" for i, x, y in rows]))
+
+
 def cmd_sample(args) -> int:
     q = _model_from_args(args)
     if args.replicas < 1:
         raise InvalidParameterError("need at least one replica")
-    if args.paths and args.replicas * args.n > MAX_PATH_STEPS:
+    if not args.paths:
+        montecarlo.check_replicas(args.replicas)
+    elif args.replicas * args.n > MAX_PATH_STEPS:
         raise ResourceLimitError(
             f"{args.replicas} paths of {args.n} steps exceed the cap of {MAX_PATH_STEPS} steps"
         )
@@ -133,13 +162,11 @@ def cmd_sample(args) -> int:
                 sample = montecarlo.sample_endpoint(
                     args.n, q, args.seed, with_path=True, replica=r
                 )
-                for s, point in enumerate(sample.path):
-                    fh.write(f"{r},{s},{point.x:.17g},{point.y:.17g}\n")
+                _write_rows(fh, sample.path, f"{r},")
         else:
             xy = montecarlo.sample_endpoints(args.n, q, args.replicas, args.seed)
             fh.write("replica,x,y\n")
-            for r in range(args.replicas):
-                fh.write(f"{r},{xy[r, 0]:.17g},{xy[r, 1]:.17g}\n")
+            _write_rows(fh, xy)
     return EXIT_OK
 
 

@@ -94,8 +94,10 @@ class StepProbabilities:
                 raise InvalidParameterError(
                     f"{name} must sum to 1 within 1e-15, got {total!r}"
                 )
-        if not self.a > 0:
-            raise InvalidParameterError(f"edge length must be positive, got {self.a}")
+        if not (self.a > 0 and math.isfinite(self.a)):
+            raise InvalidParameterError(
+                f"edge length must be positive and finite, got {self.a}"
+            )
 
     @classmethod
     def uniform(cls, a: float = 1.0) -> "StepProbabilities":

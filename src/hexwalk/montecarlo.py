@@ -17,8 +17,10 @@ direction counts within a class are multinomial.  Both the endpoint and
 any block increment are deterministic functions of those counts, so
 batch diagnostics sample six small multinomials per replica instead of
 simulating step by step; the sampled law is exactly that of the walk.
-Single-trajectory sampling (with the optional path) does walk step by
-step.
+A single trajectory (with its optional path) draws one uniform per step
+in one call, maps the draws to directions with a vectorised
+``searchsorted`` per class, and sums the step vectors with one
+``cumsum``, in the order a step-by-step walk would add them.
 """
 
 import math
@@ -27,7 +29,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, ResourceLimitError
 from .lattice import (
     INDEX_SHIFTS,
     CartesianPoint,
@@ -40,10 +42,28 @@ from .generating import asymptotic_covariance, moments
 
 CHUNK = 1 << 14
 
+# Cap on sampled endpoints, and on replicas x spans for the Donsker
+# diagnostic.  Measured at 10^6 with n = 1000 on one core: endpoints take
+# 0.23 s and 52 bytes each at peak (`sample` writing them, 0.35 s and
+# 33 bytes of CSV each), the CLT diagnostic 0.28 s and 69 bytes per
+# replica, Donsker increments 0.39 s and 61 bytes each.  So the cap costs
+# at most about 4 s and 700 MB.
+MAX_REPLICAS = 10_000_000
+
+
+def check_replicas(count: int) -> None:
+    """Refuse, before any work, a batch of more than ``MAX_REPLICAS`` samples."""
+    if count > MAX_REPLICAS:
+        raise ResourceLimitError(
+            f"{count} sampled endpoints or increments exceed the cap of {MAX_REPLICAS}"
+        )
+
 
 def _chunk_generator(seed: int, chunk: int) -> "np.random.Generator":
     """The Philox stream keyed on ``seed``, jumped ``chunk`` times."""
-    base = np.random.Philox(key=seed % (1 << 128))
+    if not 0 <= seed < 1 << 128:
+        raise InvalidParameterError(f"seed must lie in [0, 2**128), got {seed}")
+    base = np.random.Philox(key=seed)
     return np.random.Generator(base.jumped(chunk) if chunk else base)
 
 
@@ -80,6 +100,7 @@ def sample_endpoint_indices(
         raise InvalidParameterError(f"walk length must be nonnegative, got {n}")
     if replicas < 1:
         raise InvalidParameterError(f"need at least one replica, got {replicas}")
+    check_replicas(replicas)
     m0, m1 = _class_counts(0, n)
     p0, p1 = _row_pvals(q, 0), _row_pvals(q, 1)
     s0, s1 = np.array(INDEX_SHIFTS, dtype=np.int64)
@@ -104,11 +125,15 @@ def sample_endpoints(
 
 @dataclass(frozen=True)
 class TrajectorySample:
-    """One sampled walk: endpoint, optional full path, its seed and replica."""
+    """One sampled walk: endpoint, optional path, its seed and replica.
+
+    ``path`` is a read-only float64 array of shape ``(steps + 1, 2)``, the
+    Cartesian position after each step, or None.
+    """
 
     steps: int
     endpoint: CartesianPoint
-    path: Optional[tuple]
+    path: Optional[np.ndarray]
     seed: int
     replica: int = 0
 
@@ -121,38 +146,35 @@ def sample_endpoint(
     with_path: bool = False,
     replica: int = 0,
 ) -> TrajectorySample:
-    """Walk a single trajectory of ``n`` steps, step by step.
+    """Walk a single trajectory of ``n`` steps.
 
     Reproducible given ``(seed, replica, n, q)``: replica ``r`` draws from
     the Philox stream keyed on ``seed`` and jumped ``r`` times, the way
     batch chunks are keyed, so no two ``(seed, replica)`` pairs share a
-    stream.  When ``with_path`` is set the returned path has ``n + 1``
-    Cartesian points starting at the origin, with consecutive points one
-    edge length apart.
+    stream.  Step ``s`` takes the ``s``-th uniform of that stream, and the
+    positions are the running sums of the step vectors, added in step
+    order, so they equal a step-by-step walk bit for bit.  When
+    ``with_path`` is set the returned path has ``n + 1`` rows starting at
+    the origin, with consecutive rows one edge length apart.
     """
     if n < 0:
         raise InvalidParameterError(f"walk length must be nonnegative, got {n}")
     if replica < 0:
         raise InvalidParameterError(f"replica index must be nonnegative, got {replica}")
-    gen = _chunk_generator(seed, replica)
-    thresholds = [np.cumsum(_row_pvals(q, i)) for i in (0, 1)]
-    steps = step_vectors(q.a)
-    x = y = 0.0
-    path = [CartesianPoint(0.0, 0.0)] if with_path else None
-    i = 0
-    for _ in range(n):
-        r = int(np.searchsorted(thresholds[i], gen.random(), side="right"))
-        r = min(r, 2)
-        dx, dy = steps[i][r]
-        x += dx
-        y += dy
-        if with_path:
-            path.append(CartesianPoint(x, y))
-        i = 1 - i
+    u = _chunk_generator(seed, replica).random(n)
+    directions = np.empty(n, dtype=np.intp)
+    for i in (0, 1):
+        thresholds = np.cumsum(_row_pvals(q, i))
+        directions[i::2] = np.searchsorted(thresholds, u[i::2], side="right")
+    np.minimum(directions, 2, out=directions)
+    steps = np.array(step_vectors(q.a))[np.arange(n) % 2, directions]
+    path = np.zeros((n + 1, 2))
+    np.cumsum(steps, axis=0, out=path[1:])
+    path.flags.writeable = False
     return TrajectorySample(
         steps=n,
-        endpoint=CartesianPoint(x, y),
-        path=tuple(path) if with_path else None,
+        endpoint=CartesianPoint(float(path[-1, 0]), float(path[-1, 1])),
+        path=path if with_path else None,
         seed=seed,
         replica=replica,
     )
@@ -284,16 +306,6 @@ def scaled_lattice_process(
     return NormalizedPathProcess(tuple(range(horizon + 1)), values)
 
 
-def scaled_process_endpoints(
-    k: int, t: int, q: StepProbabilities, replicas: int, seed: int
-) -> np.ndarray:
-    """Batch of S_(t k) / sqrt(k) values for covariance diagnostics."""
-    if k < 1 or t < 0:
-        raise InvalidParameterError("need k >= 1 and t >= 0")
-    xy = sample_endpoints(t * k, q, replicas, seed)
-    return xy / math.sqrt(k)
-
-
 # ---------------------------------------------------------------------------
 # Donsker diagnostic
 # ---------------------------------------------------------------------------
@@ -386,6 +398,7 @@ def donsker_diagnostic(
         )
     if len(grid) < 2 or any(b <= a for a, b in zip(grid, grid[1:])) or grid[0] != 0.0:
         raise InvalidParameterError("grid must be increasing and start at 0")
+    check_replicas(replicas * (len(grid) - 1))
     indices = [int(math.floor(n * t)) for t in grid]
     p0, p1 = _row_pvals(q, 0), _row_pvals(q, 1)
     d0, d1 = np.array(step_vectors(q.a))

@@ -263,6 +263,36 @@ class TestBadConfig:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_philox_key_range(self, seed, capsys):
+        code, out, err = run(["sample", "--uniform", "--n", "3", "--seed", str(seed)], capsys)
+        assert code == 2
+        assert "seed" in err
+        code, out, err = run(
+            ["sample", "--uniform", "--n", "3", "--seed", str(seed), "--paths"], capsys
+        )
+        assert code == 2
+        assert "seed" in err
+
+    def test_largest_seed_runs(self, capsys):
+        code, out, _ = run(["sample", "--uniform", "--n", "3", "--seed", str(2**128 - 1)], capsys)
+        assert code == 0
+        assert out.startswith("replica,x,y\n0,")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["moments", "--n", "4"],
+            ["sample", "--n", "4"],
+            ["rate", "--point", "0.1", "0"],
+        ],
+    )
+    def test_infinite_edge_length(self, argv, capsys):
+        code, out, err = run([*argv, "--uniform", "--a", "inf"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "edge length" in err
+
     def test_internal_value_error_is_not_bad_config(self, monkeypatch):
         from hexwalk import engine
 
@@ -334,6 +364,18 @@ class TestCaps:
         assert code == 2
         assert out == ""
         assert "cap" in err
+
+    def test_endpoint_replicas_refused(self, capsys, monkeypatch):
+        from hexwalk import montecarlo
+
+        monkeypatch.setattr(montecarlo, "sample_endpoints", self.refuse)
+        for replicas in (montecarlo.MAX_REPLICAS + 1, 10**15):
+            code, out, err = run(
+                ["sample", "--uniform", "--n", "10", "--replicas", str(replicas)], capsys
+            )
+            assert code == 2
+            assert out == ""
+            assert "cap" in err
 
     def test_grid_refused(self, capsys, monkeypatch):
         from hexwalk import cli, deviations

@@ -6,6 +6,7 @@ import pytest
 
 from hexwalk import (
     InvalidParameterError,
+    ResourceLimitError,
     StepProbabilities,
     clt_diagnostic,
     donsker_diagnostic,
@@ -36,21 +37,23 @@ class TestSingleTrajectory:
     def test_path_invariants(self):
         s = sample_endpoint(40, UNIFORM, seed=9, with_path=True)
         assert len(s.path) == 41
-        assert (s.path[0].x, s.path[0].y) == (0.0, 0.0)
+        assert tuple(s.path[0]) == (0.0, 0.0)
+        assert tuple(s.path[-1]) == (s.endpoint.x, s.endpoint.y)
         valid = set()
         for i in (0, 1):
             for r in range(3):
                 d = step_displacement(i, r, UNIFORM.a)
                 valid.add((round(d.x, 12), round(d.y, 12)))
         for p0, p1 in zip(s.path, s.path[1:]):
-            dx, dy = p1.x - p0.x, p1.y - p0.y
+            dx, dy = p1[0] - p0[0], p1[1] - p0[1]
             assert math.hypot(dx, dy) == pytest.approx(1.0, abs=1e-12)
             assert (round(dx, 12), round(dy, 12)) in valid
 
     def test_reproducible(self):
         a = sample_endpoint(100, UNIFORM, seed=123, with_path=True)
         b = sample_endpoint(100, UNIFORM, seed=123, with_path=True)
-        assert a == b
+        assert (a.steps, a.endpoint, a.seed, a.replica) == (b.steps, b.endpoint, b.seed, b.replica)
+        assert np.array_equal(a.path.view(np.int64), b.path.view(np.int64))
 
     def test_seed_changes_sample(self):
         a = sample_endpoint(100, UNIFORM, seed=1)
@@ -146,7 +149,7 @@ class TestScaledProcess:
 
     def test_batch_covariance_scales_linearly(self):
         k, t, reps = 400, 3, 10_000
-        values = montecarlo.scaled_process_endpoints(k, t, UNIFORM, reps, seed=33)
+        values = sample_endpoints(t * k, UNIFORM, reps, seed=33) / math.sqrt(k)
         cov = np.cov(values, rowvar=False)
         target = t * asymptotic_covariance(UNIFORM)
         assert np.linalg.norm(cov - target) / np.linalg.norm(target) < 0.05
@@ -198,6 +201,24 @@ class TestCovarianceFactor:
         d, triangular = montecarlo.covariance_factor(c)
         assert not triangular
         assert np.allclose(d.T @ d, c, atol=1e-14)
+
+
+class TestCaps:
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran")
+
+    def test_clt_replicas_refused(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_chunk_generator", self.refuse)
+        with pytest.raises(ResourceLimitError, match="cap"):
+            clt_diagnostic(100, montecarlo.MAX_REPLICAS + 1, UNIFORM, seed=0)
+
+    def test_donsker_replicas_times_spans_refused(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_chunk_generator", self.refuse)
+        # Four spans on the default grid: under the cap in replicas, over it in increments.
+        replicas = montecarlo.MAX_REPLICAS // 4 + 1
+        with pytest.raises(ResourceLimitError, match="cap"):
+            donsker_diagnostic(1000, replicas, UNIFORM, seed=0)
 
 
 def test_chunk_streams_are_schedule_independent():
